@@ -29,7 +29,7 @@ use aft_types::codec::encode_commit_record;
 use aft_types::{Key, TransactionId, TransactionRecord, Uuid};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{percentile, Table};
 
 /// Configuration of the checkpoint recovery sweep.
 #[derive(Debug, Clone)]
@@ -112,45 +112,45 @@ pub struct CheckpointCell {
     pub phantom: usize,
 }
 
-fn percentile(samples: &[BootstrapSample], p: f64, f: impl Fn(&BootstrapSample) -> f64) -> f64 {
+fn sample_percentile(
+    samples: &[BootstrapSample],
+    p: f64,
+    f: impl Fn(&BootstrapSample) -> f64,
+) -> f64 {
     let mut values: Vec<f64> = samples.iter().map(f).collect();
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((values.len() as f64 - 1.0) * p).round() as usize;
-    values[idx.min(values.len() - 1)]
+    values.sort_by(f64::total_cmp);
+    percentile(&values, p)
 }
 
 impl CheckpointCell {
     /// Median charged full-replay cost, ms.
     pub fn full_p50_ms(&self) -> f64 {
-        percentile(&self.full, 0.5, |s| s.cost_ms)
+        sample_percentile(&self.full, 0.5, |s| s.cost_ms)
     }
 
     /// 99th-percentile charged full-replay cost, ms.
     pub fn full_p99_ms(&self) -> f64 {
-        percentile(&self.full, 0.99, |s| s.cost_ms)
+        sample_percentile(&self.full, 0.99, |s| s.cost_ms)
     }
 
     /// Median charged checkpoint+tail cost, ms.
     pub fn ckpt_p50_ms(&self) -> f64 {
-        percentile(&self.ckpt, 0.5, |s| s.cost_ms)
+        sample_percentile(&self.ckpt, 0.5, |s| s.cost_ms)
     }
 
     /// 99th-percentile charged checkpoint+tail cost, ms.
     pub fn ckpt_p99_ms(&self) -> f64 {
-        percentile(&self.ckpt, 0.99, |s| s.cost_ms)
+        sample_percentile(&self.ckpt, 0.99, |s| s.cost_ms)
     }
 
     /// Bytes a full-replay bootstrap read (median trial).
     pub fn full_bytes(&self) -> u64 {
-        percentile(&self.full, 0.5, |s| s.bytes_read as f64) as u64
+        sample_percentile(&self.full, 0.5, |s| s.bytes_read as f64) as u64
     }
 
     /// Bytes a checkpoint+tail bootstrap read (median trial).
     pub fn ckpt_bytes(&self) -> u64 {
-        percentile(&self.ckpt, 0.5, |s| s.bytes_read as f64) as u64
+        sample_percentile(&self.ckpt, 0.5, |s| s.bytes_read as f64) as u64
     }
 }
 

@@ -1,8 +1,8 @@
 //! One function per table/figure of the paper's evaluation (§6).
 //!
 //! Each function runs the experiment against the simulated substrates and
-//! returns the rendered result table(s). The harness binaries print them; the
-//! `run_all` binary and the integration tests call them with reduced sizes.
+//! returns the rendered result table(s). The `aft-bench` runner prints them
+//! (see `runner::EXPERIMENTS`); the unit tests call them with reduced sizes.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

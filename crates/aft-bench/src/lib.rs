@@ -1,19 +1,25 @@
 //! The benchmark harness for the AFT reproduction.
 //!
-//! Every table and figure in the paper's evaluation (§6) has:
+//! Every table and figure in the paper's evaluation (§6), and every tracked
+//! experiment beyond it, is one entry of [`runner::EXPERIMENTS`], run by
+//! name through the single `aft-bench` binary:
 //!
-//! * a **binary** under `src/bin/` (`fig2_io_latency`, `fig3_table2_e2e`, ...)
-//!   that runs the full experiment and prints the same rows/series the paper
-//!   reports, and
-//! * a **Criterion bench** under `benches/` that measures the per-request
-//!   building blocks of the same experiment, so `cargo bench` exercises every
-//!   figure's code path in a few minutes.
+//! ```text
+//! cargo run --release -p aft-bench -- fig2_io_latency fig9_gc
+//! AFT_BENCH_FAST=1 cargo run --release -p aft-bench -- all
+//! ```
 //!
-//! The experiments run against the simulated substrates with latencies scaled
-//! down by a single global factor (`AFT_BENCH_SCALE`, default 0.1). Scaling
-//! every service identically preserves the ratios, crossovers, and winners —
-//! the properties EXPERIMENTS.md compares against the paper — while letting
-//! the whole suite finish quickly.
+//! The experiments with a `BENCH_*.json` report also carry a gate; the
+//! runner exits non-zero when one fails and prints the command that replays
+//! it with the same seed and inputs.
+//! `benches/micro_protocols.rs` is the one Criterion bench: the protocol
+//! building blocks (Algorithm 1 and 2, the record codec, a local commit).
+//!
+//! The paper's figures run against the simulated substrates with latencies
+//! scaled down by a single global factor (`AFT_BENCH_SCALE`, default 0.1).
+//! Scaling every service identically preserves the ratios, crossovers, and
+//! winners — the properties the reproduction compares with the paper —
+//! while letting the whole suite finish quickly.
 //!
 //! Environment knobs (all optional):
 //!
@@ -21,7 +27,9 @@
 //! * `AFT_BENCH_REQUESTS` — requests per client for latency experiments
 //!   (default 200).
 //! * `AFT_BENCH_FAST` — if set, shrinks every experiment (fewer requests,
-//!   fewer clients, shorter timelines) for smoke-testing.
+//!   fewer clients, shorter timelines) for smoke-testing and CI.
+//! * `AFT_SERVICE_CONNS` — `fig8_service`'s resident-connection counts
+//!   (comma-separated).
 
 pub mod checkpoint;
 pub mod dissemination;
@@ -31,6 +39,7 @@ pub mod overload;
 pub mod pipelined;
 pub mod recovery;
 pub mod report;
+pub mod runner;
 pub mod scaling;
 pub mod service;
 pub mod setup;

@@ -47,7 +47,7 @@ use aft_storage::{BackendConfig, BackendKind};
 use aft_types::{Key, TransactionRecord, Value};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{percentile, Table};
 use crate::setup::{serve_cluster, ServeOptions, ServiceHandle};
 
 /// A saturated point's p999 of *successful* commits above this is
@@ -475,15 +475,6 @@ fn round2(v: f64) -> f64 {
     (v * 100.0).round() / 100.0
 }
 
-/// Nearest-rank percentile of an already-sorted sample.
-fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// A fresh deployment with the overload-protection stack armed and
 /// garbage collection off, so the durable commit set stays the complete
 /// ground truth for lost-ack verification. The backend is the simulated
@@ -814,9 +805,9 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
             failed: outcome.failed,
             anomalies: outcome.anomalies,
             lost_acked_commits: lost,
-            p50_ms: percentile_ms(&outcome.latencies_ms, 0.50),
-            p99_ms: percentile_ms(&outcome.latencies_ms, 0.99),
-            p999_ms: percentile_ms(&outcome.latencies_ms, 0.999),
+            p50_ms: percentile(&outcome.latencies_ms, 0.50),
+            p99_ms: percentile(&outcome.latencies_ms, 0.99),
+            p999_ms: percentile(&outcome.latencies_ms, 0.999),
             overload_rejections: stats.overload_rejections,
             shed_requests: stats.shed_requests,
             overload_retries: client_stats.overload_retries,

@@ -48,7 +48,7 @@ use aft_types::clock::TickingClock;
 use aft_types::{AftError, Key, TransactionId, TransactionRecord, Value};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{percentile, Table};
 
 /// The fault modes of the matrix: three storage-side modes, one
 /// network-side mode, and one cross-layer mode that fires every layer of
@@ -267,12 +267,8 @@ pub struct CellReport {
 impl CellReport {
     fn recovery_percentile_ms(&self, p: f64) -> f64 {
         let mut times: Vec<f64> = self.trials.iter().map(|t| t.recovery_ms).collect();
-        if times.is_empty() {
-            return 0.0;
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let idx = ((times.len() as f64 - 1.0) * p).round() as usize;
-        times[idx.min(times.len() - 1)]
+        times.sort_by(f64::total_cmp);
+        percentile(&times, p)
     }
 
     /// Median time-to-recovery across the cell's trials, milliseconds.

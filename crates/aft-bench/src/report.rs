@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! The harness binaries print their results as aligned text tables so that a
+//! The `aft-bench` runner prints results as aligned text tables so that a
 //! run's stdout can be compared side by side with the paper's figures, and so
 //! `bench_output.txt` stays grep-able.
 
@@ -85,6 +85,16 @@ impl Table {
     }
 }
 
+/// Nearest-rank percentile of an ascending-sorted sample: the element at
+/// rank `round((n - 1) * q)`, or `0.0` for an empty sample.
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Formats a millisecond value the way the paper's figures label them.
 pub fn ms(value: f64) -> String {
     if value >= 100.0 {
@@ -121,6 +131,18 @@ mod tests {
         assert_eq!(ms(3.72111), "3.72");
         assert_eq!(ms(37.2111), "37.2");
         assert_eq!(ms(372.111), "372");
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 10.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+        // rank round(4 * 0.9) = 4, round(4 * 0.6) = 2
+        assert_eq!(percentile(&sorted, 0.9), 10.0);
+        assert_eq!(percentile(&sorted, 0.6), 3.0);
+        assert_eq!(percentile(&sorted, 0.99), 10.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

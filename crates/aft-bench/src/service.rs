@@ -47,7 +47,7 @@ use aft_types::{TransactionRecord, WireStats};
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{percentile, Table};
 use crate::setup::{serve_cluster, ServeOptions, ServiceHandle};
 
 /// A scale point's ping p99 above this is a latency collapse.
@@ -548,10 +548,8 @@ fn proc_rss_bytes() -> i64 {
         .map_or(0, |pages| pages * 4096)
 }
 
-/// Threads named `aft-net-rd*` — the thread-per-connection model's reader
-/// threads. The event loop spawns none, so with a resident fleet this count
-/// proves the loop owns every socket (robust against unrelated threads
-/// created by concurrently running tests).
+/// Threads named `aft-net-rd*`. The event loop owns every socket and spawns
+/// no per-connection threads, so this must read 0.
 fn reader_thread_count() -> u64 {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return 0;
@@ -599,15 +597,6 @@ fn raw_ping(stream: &mut TcpStream) -> io::Result<Duration> {
         Ok((_, other)) => Err(io::Error::other(format!("expected Pong, got {other:?}"))),
         Err(e) => Err(io::Error::other(format!("undecodable response: {e}"))),
     }
-}
-
-/// Nearest-rank percentile of an already-sorted sample.
-fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// One point of the connection-scale leg: a fresh server, `connections`
@@ -672,8 +661,8 @@ fn run_conn_point(config: &ServiceConfig, connections: usize) -> ConnScalePoint 
         .expect("the scale leg runs the event-driven model");
     let point = ConnScalePoint {
         connections,
-        p50_ms: percentile_ms(&latencies, 0.50),
-        p99_ms: percentile_ms(&latencies, 0.99),
+        p50_ms: percentile(&latencies, 0.50),
+        p99_ms: percentile(&latencies, 0.99),
         pings: latencies.len() as u64,
         reader_threads,
         threads_total,

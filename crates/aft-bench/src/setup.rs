@@ -173,8 +173,8 @@ impl BenchEnv {
 }
 
 /// The one way experiments stand a cluster up as a networked service:
-/// every knob of the loopback endpoint — server thread model and worker
-/// pool, client pool/retry/chaos — in a single options struct, so
+/// every knob of the loopback endpoint — server worker pool and queue,
+/// client pool/retry/chaos — in a single options struct, so
 /// `fig8_service`, `fig10_recovery`, and future benches configure the
 /// service identically (`ServeOptions { workers: 8, ..Default::default() }`
 /// style).
@@ -182,9 +182,6 @@ impl BenchEnv {
 pub struct ServeOptions {
     /// Server worker-pool size.
     pub workers: usize,
-    /// Server thread model: the readiness-driven event loop (default) or
-    /// the thread-per-connection baseline.
-    pub event_driven: bool,
     /// Connection slots preallocated in the event loop's slab (sizing hint
     /// for high-connection sweeps; the slab grows beyond it).
     pub slab_capacity: usize,
@@ -217,7 +214,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: 4,
-            event_driven: true,
             slab_capacity: 1_024,
             queue_capacity: 1_024,
             admission_limit: 0,
@@ -278,7 +274,6 @@ pub struct ServiceHandle {
 pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResult<ServiceHandle> {
     let server = AftServer::builder()
         .workers(options.workers)
-        .event_driven(options.event_driven)
         .slab_capacity(options.slab_capacity)
         .queue_capacity(options.queue_capacity)
         .admission_limit(options.admission_limit)

@@ -1,8 +1,8 @@
 //! Aggregates every `BENCH_*.json` report into one machine-readable
 //! `BENCH_summary.json`.
 //!
-//! Each experiment binary writes its own report (throughput, pipelining,
-//! recovery, service, ...). This module collects whatever reports exist in
+//! Each tracked experiment of `runner::EXPERIMENTS` writes its own report
+//! (throughput, pipelining, recovery, service, ...). This module collects whatever reports exist in
 //! a directory into a single trajectory document, so the bench history is
 //! one file per checkout: CI uploads it, and future PRs can diff their
 //! numbers against the last one without knowing every experiment's schema.

@@ -186,11 +186,11 @@ impl Conn {
             broken: AtomicBool::new(false),
         });
         let reader_conn = Arc::clone(&conn);
-        std::thread::spawn(move || reader_conn.reader_loop(stream));
+        std::thread::spawn(move || reader_conn.read_responses(stream));
         Ok(conn)
     }
 
-    fn reader_loop(self: Arc<Self>, mut stream: TcpStream) {
+    fn read_responses(self: Arc<Self>, mut stream: TcpStream) {
         while let Ok(Some(payload)) = read_frame(&mut stream) {
             let Ok((request_id, response)) = decode_response(&payload) else {
                 break;
@@ -701,8 +701,8 @@ impl Drop for AftClient {
     fn drop(&mut self) {
         // Reset every pooled connection: the sockets close on both ends and
         // each connection's reader thread exits on the read error, so a
-        // dropped client leaks neither file descriptors nor threads (here
-        // or on the server, whose per-connection reader also unblocks).
+        // dropped client leaks neither file descriptors nor threads, and the
+        // server's event loop sees the close and frees the connection.
         for slot in &self.slots {
             if let Some(conn) = slot.lock().take() {
                 conn.reset();

@@ -20,7 +20,7 @@
 //! * **write** — workers push completions into a wakeable completion queue
 //!   ([`Poller::notify`] interrupts the wait); the loop frames each response
 //!   into a pooled buffer and flushes with *vectored* writes, so one syscall
-//!   carries up to `write_batch` pipelined responses.
+//!   carries up to [`WRITE_BATCH`] pipelined responses.
 //!
 //! Execution semantics (routing, affinity, commit dedup/single-flight, the
 //! `ResponseFilter` chaos hook) stay in the worker pool — the loop never
@@ -43,13 +43,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use aft_types::wire::{decode_request, encode_response, WireResponse};
+use aft_types::wire::{decode_request, encode_response, WireRequest, WireResponse};
 use aft_types::{AftError, AftResult};
+use bytes::Bytes;
 use polling::{Event, Events, Poller};
 
 use crate::buffer::BufferPool;
 use crate::frame::{frame_into, FrameDecoder};
-use crate::server::{Job, Responder, ServerShared};
+use crate::server::{Job, ServerShared};
 use crate::stats::ConnStats;
 
 /// Poller key of the listening socket (`usize::MAX` is the poller's own
@@ -59,6 +60,16 @@ const LISTENER_KEY: usize = usize::MAX - 1;
 /// Reads drained from one socket per readiness event before yielding to
 /// other connections (fairness under a firehose peer).
 const MAX_READS_PER_EVENT: usize = 16;
+
+/// Bytes read per socket syscall.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Response frames coalesced into one vectored write syscall.
+const WRITE_BATCH: usize = 64;
+
+/// Unflushed response bytes a connection may buffer before the loop stops
+/// reading more requests from it (per-connection write throttle).
+const WRITE_BUFFER_CAP: usize = 4 * 1024 * 1024;
 
 /// The worker-visible identity of one event-loop connection.
 ///
@@ -83,7 +94,7 @@ pub(crate) struct ConnHandle {
 /// What a worker wants done with a finished request.
 pub(crate) enum CompletionAction {
     /// Write this encoded response on the originating connection.
-    Respond(Vec<u8>),
+    Respond(Bytes),
     /// Reset the connection without responding (the `ResponseFilter` ate
     /// the acknowledgement).
     Reset,
@@ -173,7 +184,7 @@ struct ConnState {
     handle: Arc<ConnHandle>,
     decoder: FrameDecoder,
     /// Requests decoded while the worker queue was full, waiting to submit.
-    pending: VecDeque<(u64, aft_types::wire::WireRequest)>,
+    pending: VecDeque<(u64, WireRequest)>,
     /// Framed responses awaiting flush; front frame partially written up to
     /// `write_pos`.
     write_queue: VecDeque<Vec<u8>>,
@@ -291,8 +302,8 @@ pub(crate) struct EventLoop {
 }
 
 impl EventLoop {
-    /// Registers `listener` with a fresh poller. Errors here (backend
-    /// construction, registration) fail `serve` before any thread starts.
+    /// Registers `listener` with the server's poller. Errors here fail
+    /// `serve` before any thread starts.
     pub(crate) fn new(shared: Arc<ServerShared>, listener: TcpListener) -> AftResult<EventLoop> {
         fn unavailable(what: &str, e: io::Error) -> AftError {
             AftError::Unavailable(format!("event loop: {what}: {e}"))
@@ -300,19 +311,15 @@ impl EventLoop {
         listener
             .set_nonblocking(true)
             .map_err(|e| unavailable("nonblocking listener", e))?;
-        let backend = shared.config.poller_backend.to_polling();
-        let poller = Arc::new(Poller::with_backend(backend).map_err(|e| unavailable("poller", e))?);
+        let poller = Arc::clone(&shared.poller);
         poller
             .add(&listener, Event::readable(LISTENER_KEY))
             .map_err(|e| unavailable("register listener", e))?;
-        let config = &shared.config;
+        let slab_capacity = shared.config.slab_capacity;
         let stats = Arc::new(EventStats::default());
-        let pool = Arc::new(BufferPool::new(
-            config.read_chunk.max(4096) * 4,
-            config.slab_capacity.min(4096),
-        ));
-        let scratch = vec![0u8; config.read_chunk.max(512)];
-        let slab = Slab::with_capacity(config.slab_capacity);
+        let pool = Arc::new(BufferPool::new(READ_CHUNK * 4, slab_capacity.min(4096)));
+        let scratch = vec![0u8; READ_CHUNK];
+        let slab = Slab::with_capacity(slab_capacity);
         Ok(EventLoop {
             shared,
             listener,
@@ -324,10 +331,6 @@ impl EventLoop {
             paused: Vec::new(),
             scratch,
         })
-    }
-
-    pub(crate) fn poller(&self) -> Arc<Poller> {
-        Arc::clone(&self.poller)
     }
 
     pub(crate) fn stats(&self) -> Arc<EventStats> {
@@ -542,16 +545,15 @@ impl EventLoop {
                 }
             }
         }
-        let read_chunk = self.scratch.len();
         if let Some(conn) = self.slab.get_mut(slot) {
-            conn.decoder.shed(read_chunk * 4);
+            conn.decoder.shed(READ_CHUNK * 4);
         }
         true
     }
 
     /// Hands one decoded request to the worker pool, or parks it locally
     /// (pausing the connection) when the queue is full.
-    fn submit(&mut self, slot: usize, request_id: u64, request: aft_types::wire::WireRequest) {
+    fn submit(&mut self, slot: usize, request_id: u64, request: WireRequest) {
         let capacity = self.shared.config.queue_capacity.max(1);
         let admission = self.shared.config.admission_limit;
         let Some(conn) = self.slab.get_mut(slot) else {
@@ -565,7 +567,7 @@ impl EventLoop {
         let mut queue = self.shared.queue.lock();
         if admission > 0
             && queue.depth() >= admission
-            && !matches!(request, aft_types::wire::WireRequest::Commit { .. })
+            && !matches!(request, WireRequest::Commit { .. })
         {
             // Admission control: answer `Overloaded` now, while the client
             // can still usefully back off, instead of parking the request
@@ -598,12 +600,10 @@ impl EventLoop {
             return;
         }
         handle.inflight.fetch_add(1, Ordering::AcqRel);
-        let source = handle.id;
         queue.push(Job {
-            responder: Responder::Event(handle),
+            handle,
             request_id,
             request,
-            source,
             enqueued: Instant::now(),
         });
         drop(queue);
@@ -640,10 +640,9 @@ impl EventLoop {
                     }
                     handle.inflight.fetch_add(1, Ordering::AcqRel);
                     queue.push(Job {
-                        responder: Responder::Event(Arc::clone(&handle)),
+                        handle: Arc::clone(&handle),
                         request_id,
                         request,
-                        source: handle.id,
                         enqueued: Instant::now(),
                     });
                     submitted += 1;
@@ -728,9 +727,8 @@ impl EventLoop {
     }
 
     /// Flushes as much of the write queue as the socket accepts, batching
-    /// up to `write_batch` frames per vectored syscall.
+    /// up to [`WRITE_BATCH`] frames per vectored syscall.
     fn do_write(&mut self, slot: usize) {
-        let write_batch = self.shared.config.write_batch.max(1);
         loop {
             let Some(conn) = self.slab.get_mut(slot) else {
                 return;
@@ -738,8 +736,8 @@ impl EventLoop {
             if conn.write_queue.is_empty() {
                 break;
             }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(write_batch.min(64));
-            for (i, frame) in conn.write_queue.iter().take(write_batch).enumerate() {
+            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(WRITE_BATCH);
+            for (i, frame) in conn.write_queue.iter().take(WRITE_BATCH).enumerate() {
                 let from = if i == 0 { conn.write_pos } else { 0 };
                 slices.push(IoSlice::new(&frame[from..]));
             }
@@ -877,7 +875,6 @@ impl EventLoop {
     /// Oneshot delivery disarms a source, so *any* event or state change
     /// requires an explicit `modify` to keep receiving readiness.
     fn rearm_dirty(&mut self) {
-        let write_buffer_cap = self.shared.config.write_buffer_cap.max(1);
         let dirty = std::mem::take(&mut self.dirty);
         for slot in dirty {
             let Some(conn) = self.slab.get_mut(slot) else {
@@ -890,7 +887,7 @@ impl EventLoop {
             let readable = conn.read_open
                 && !conn.paused
                 && !conn.close_after_flush
-                && conn.queued_bytes < write_buffer_cap;
+                && conn.queued_bytes < WRITE_BUFFER_CAP;
             let writable = !conn.write_queue.is_empty();
             let interest = Event {
                 key: slot,

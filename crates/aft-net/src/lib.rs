@@ -8,8 +8,8 @@
 //! * [`frame`] — length-prefixed framing over any `Read`/`Write` stream,
 //!   with a hard size cap so hostile lengths cannot OOM either peer.
 //! * [`server`] — [`server::AftServer`]: a `std::net` TCP listener fronting
-//!   an `aft-cluster` [`Cluster`](aft_cluster::Cluster). By default a
-//!   single readiness-driven event-loop thread (see [`event_loop`]) owns
+//!   an `aft-cluster` [`Cluster`](aft_cluster::Cluster). A single
+//!   readiness-driven event-loop thread (see [`event_loop`]) owns
 //!   every socket — nonblocking reads through incremental frame decoders,
 //!   vectored batched writes — and demultiplexes pipelined requests into a
 //!   sized worker pool, so connections scale to thousands while thread
@@ -44,7 +44,5 @@ pub mod stats;
 pub use chaos::{ConnChaos, NetChaosStats, NetFault};
 pub use client::{AftClient, ClientBuilder, ClientConfig, ClientStatsSnapshot};
 pub use event_loop::EventSnapshot;
-pub use server::{
-    AftServer, PollerBackend, ResponseFilter, ServerBuilder, ServerConfig, ThreadModel,
-};
+pub use server::{AftServer, ResponseFilter, ServerBuilder, ServerConfig};
 pub use stats::ServiceStats;

@@ -1,24 +1,17 @@
 //! The AFT wire-protocol server.
 //!
 //! [`AftServer`] fronts an `aft-cluster` [`Cluster`] with a `std::net` TCP
-//! listener. Two thread models exist, selected by
-//! [`ServerBuilder::event_driven`]:
+//! listener. One readiness-driven I/O thread owns every socket — accept,
+//! nonblocking reads into incremental frame decoders, and vectored batched
+//! writes — behind the vendored `polling` poller. Connections live in a slab
+//! of per-connection state machines, so thread count is O(workers) while
+//! connections scale to thousands. See [`crate::event_loop`] for the
+//! state-machine details.
 //!
-//! * **Event-driven** (the default): one readiness-driven I/O thread owns
-//!   every socket — accept, nonblocking reads into incremental frame
-//!   decoders, and vectored batched writes — behind the vendored `polling`
-//!   poller. Connections live in a slab of per-connection state machines,
-//!   so thread count is O(workers) while connections scale to thousands.
-//!   See [`crate::event_loop`] for the state-machine details.
-//! * **Thread-per-connection** (`.event_driven(false)`): the PR-5 model —
-//!   an accept thread spawns one reader thread per connection. Kept as a
-//!   debugging baseline; it burns a thread per socket.
-//!
-//! In both models a **sized worker pool** drains one shared queue, executes
-//! each request against the cluster (routing through the round-robin
-//! router, with per-transaction node affinity), and responds on the
-//! originating connection — directly in threaded mode, via a wakeable
-//! completion queue back to the I/O thread in event mode.
+//! A **sized worker pool** drains one shared queue, executes each request
+//! against the cluster (routing through the round-robin router, with
+//! per-transaction node affinity), and hands the encoded response back to
+//! the I/O thread through a wakeable completion queue.
 //!
 //! Because workers are shared, two pipelined requests from one connection
 //! execute concurrently and their responses — which carry the client's
@@ -73,7 +66,7 @@
 //! Dropping the server shuts it down.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -82,7 +75,7 @@ use std::time::{Duration, Instant};
 use aft_cluster::Cluster;
 use aft_core::read::is_atomic_readset;
 use aft_core::AftNode;
-use aft_types::wire::{decode_request, encode_response, WireRequest, WireResponse, WireStats};
+use aft_types::wire::{encode_response, WireRequest, WireResponse, WireStats};
 use aft_types::{AftError, AftResult, Key, TransactionId, Uuid, Value};
 use parking_lot::{Condvar, Mutex};
 use polling::Poller;
@@ -91,53 +84,24 @@ use crate::buffer::BufferPool;
 use crate::event_loop::{
     Completion, CompletionAction, ConnHandle, EventLoop, EventSnapshot, EventStats,
 };
-use crate::frame::{read_frame, write_frame};
-use crate::stats::{ConnStats, ServiceStats};
+use crate::stats::ServiceStats;
 
-/// Which readiness backend the event loop asks the poller for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerBackend {
-    /// Platform default: epoll on Linux, poll(2) elsewhere.
-    #[default]
-    Auto,
-    /// Linux `epoll(7)`; serving fails on other platforms.
-    Epoll,
-    /// Portable `poll(2)`.
-    Poll,
-}
+/// Completed commits remembered for duplicate detection; the oldest
+/// entries are evicted beyond this. A duplicate arriving after its entry
+/// was evicted would re-apply, so this comfortably covers the client retry
+/// horizon.
+const DEDUP_CAPACITY: usize = 65_536;
 
-impl PollerBackend {
-    pub(crate) fn to_polling(self) -> polling::Backend {
-        match self {
-            PollerBackend::Auto => polling::Backend::Auto,
-            PollerBackend::Epoll => polling::Backend::Epoll,
-            PollerBackend::Poll => polling::Backend::Poll,
-        }
-    }
-}
-
-/// The thread model a running server is using.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadModel {
-    /// One I/O thread multiplexing all sockets (the default).
-    EventDriven,
-    /// One reader thread per connection (debugging baseline).
-    ThreadPerConnection,
-}
+/// Transaction→node affinity entries kept; beyond this the oldest are
+/// dropped (their transactions re-route on next touch).
+const AFFINITY_CAPACITY: usize = 65_536;
 
 /// Tuning of an [`AftServer`]; built with [`AftServer::builder`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     pub(crate) workers: usize,
-    pub(crate) dedup_capacity: usize,
-    pub(crate) affinity_capacity: usize,
     pub(crate) queue_capacity: usize,
-    pub(crate) event_driven: bool,
     pub(crate) slab_capacity: usize,
-    pub(crate) read_chunk: usize,
-    pub(crate) write_batch: usize,
-    pub(crate) write_buffer_cap: usize,
-    pub(crate) poller_backend: PollerBackend,
     pub(crate) admission_limit: usize,
     pub(crate) queue_deadline: Duration,
     pub(crate) fair_queuing: bool,
@@ -147,15 +111,8 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            dedup_capacity: 65_536,
-            affinity_capacity: 65_536,
             queue_capacity: 1_024,
-            event_driven: true,
             slab_capacity: 1_024,
-            read_chunk: 16 * 1024,
-            write_batch: 64,
-            write_buffer_cap: 4 * 1024 * 1024,
-            poller_backend: PollerBackend::Auto,
             admission_limit: 0,
             queue_deadline: Duration::ZERO,
             fair_queuing: false,
@@ -179,11 +136,6 @@ impl ServerConfig {
     /// Decoded requests allowed to wait for a worker before backpressure.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
-    }
-
-    /// Whether the event-driven I/O core is selected.
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
     }
 
     /// Queue depth beyond which new non-commit requests are rejected
@@ -218,22 +170,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Completed commits remembered for duplicate detection; the oldest
-    /// entries are evicted beyond this. A duplicate arriving after its
-    /// entry was evicted would re-apply, so size this to comfortably cover
-    /// the client retry horizon.
-    pub fn dedup_capacity(mut self, capacity: usize) -> Self {
-        self.config.dedup_capacity = capacity.max(1);
-        self
-    }
-
-    /// Transaction→node affinity entries kept; beyond this the oldest are
-    /// dropped (their transactions re-route on next touch).
-    pub fn affinity_capacity(mut self, capacity: usize) -> Self {
-        self.config.affinity_capacity = capacity.max(1);
-        self
-    }
-
     /// Decoded requests allowed to wait for a worker before the server
     /// stops pulling from sockets (backpressure): a client that pipelines
     /// faster than the pool drains is throttled by TCP instead of growing
@@ -243,42 +179,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Selects the readiness-driven I/O core (default `true`); `false`
-    /// falls back to one reader thread per connection.
-    pub fn event_driven(mut self, event_driven: bool) -> Self {
-        self.config.event_driven = event_driven;
-        self
-    }
-
     /// Connection slots preallocated in the event loop's slab (it grows
     /// beyond this; the knob sizes the warm path).
     pub fn slab_capacity(mut self, capacity: usize) -> Self {
         self.config.slab_capacity = capacity.max(1);
-        self
-    }
-
-    /// Bytes read per socket syscall in the event loop.
-    pub fn read_chunk(mut self, bytes: usize) -> Self {
-        self.config.read_chunk = bytes.max(512);
-        self
-    }
-
-    /// Response frames coalesced into one vectored write syscall.
-    pub fn write_batch(mut self, frames: usize) -> Self {
-        self.config.write_batch = frames.max(1);
-        self
-    }
-
-    /// Unflushed response bytes a connection may buffer before the loop
-    /// stops reading more requests from it (per-connection write throttle).
-    pub fn write_buffer_cap(mut self, bytes: usize) -> Self {
-        self.config.write_buffer_cap = bytes.max(1024);
-        self
-    }
-
-    /// OS readiness API for the event loop.
-    pub fn poller_backend(mut self, backend: PollerBackend) -> Self {
-        self.config.poller_backend = backend;
         self
     }
 
@@ -336,63 +240,12 @@ pub trait ResponseFilter: Send + Sync {
     fn deliver(&self, request_id: u64, response: &WireResponse) -> bool;
 }
 
-/// One accepted connection in the thread-per-connection model. The writer
-/// half is mutex-guarded so any worker can respond on it; the reader half
-/// lives in the connection's reader thread.
-pub(crate) struct Connection {
-    /// Fair-queuing lane key; unique per accepted connection.
-    id: u64,
-    writer: Mutex<TcpStream>,
-    /// Handle used to reset the socket from any thread (shutdown, filter).
-    control: TcpStream,
-    open: AtomicBool,
-    stats: ConnStats,
-    /// Endpoint counters, owned here so the close transition can account
-    /// itself exactly once no matter which thread wins the race.
-    service_stats: Arc<ServiceStats>,
-}
-
-impl Connection {
-    /// Hard-closes the connection; both halves observe it. The guarded
-    /// `open` transition owns the `record_close`, so a worker reset, a
-    /// reader EOF, and a server shutdown can all call this without ever
-    /// double-counting the churn.
-    fn close(&self) {
-        if self.open.swap(false, Ordering::AcqRel) {
-            let _ = self.control.shutdown(Shutdown::Both);
-            self.service_stats.record_close();
-        }
-    }
-
-    /// Writes one frame; on failure the connection is closed.
-    fn send(&self, payload: &[u8]) -> bool {
-        let mut writer = self.writer.lock();
-        match write_frame(&mut *writer, payload) {
-            Ok(()) => true,
-            Err(_) => {
-                drop(writer);
-                self.close();
-                false
-            }
-        }
-    }
-}
-
-/// Where a finished request's response goes.
-pub(crate) enum Responder {
-    /// Written directly by the worker (thread-per-connection model).
-    Thread(Arc<Connection>),
-    /// Queued back to the event loop as a [`Completion`].
-    Event(Arc<ConnHandle>),
-}
-
 /// A decoded request awaiting a worker.
 pub(crate) struct Job {
-    pub(crate) responder: Responder,
+    /// The originating connection; its id is the fair-queuing lane key.
+    pub(crate) handle: Arc<ConnHandle>,
     pub(crate) request_id: u64,
     pub(crate) request: WireRequest,
-    /// Lane key for fair queuing: the accepting connection's id.
-    pub(crate) source: u64,
     /// When the job entered the queue, for deadline-based shedding.
     pub(crate) enqueued: Instant,
 }
@@ -431,9 +284,10 @@ impl JobQueue {
     pub(crate) fn push(&mut self, job: Job) {
         self.len += 1;
         if self.fair {
-            let lane = self.lanes.entry(job.source).or_default();
+            let source = job.handle.id;
+            let lane = self.lanes.entry(source).or_default();
             if lane.is_empty() {
-                self.rotation.push_back(job.source);
+                self.rotation.push_back(source);
             }
             lane.push_back(job);
         } else {
@@ -476,7 +330,7 @@ impl CommitLedger {
             done: HashMap::new(),
             order: VecDeque::new(),
             in_progress: HashSet::new(),
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 
@@ -504,7 +358,7 @@ impl AffinityMap {
         AffinityMap {
             map: HashMap::new(),
             order: VecDeque::new(),
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 
@@ -534,28 +388,23 @@ pub(crate) struct ServerShared {
     pub(crate) config: ServerConfig,
     pub(crate) queue: Mutex<JobQueue>,
     pub(crate) queue_cv: Condvar,
-    queue_space_cv: Condvar,
     ledger: Mutex<CommitLedger>,
     ledger_cv: Condvar,
     affinity: Mutex<AffinityMap>,
     filter: Mutex<Option<Arc<dyn ResponseFilter>>>,
-    conns: Mutex<Vec<Arc<Connection>>>,
-    reader_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Worker→event-loop completions, drained by the loop on each wake.
     pub(crate) completions: Mutex<VecDeque<Completion>>,
     /// The event loop's poller, for waking it from workers and shutdown.
-    io_waker: Mutex<Option<Arc<Poller>>>,
+    pub(crate) poller: Arc<Poller>,
     /// Monotonic connection ids — the fair-queuing lane keys.
     pub(crate) next_conn_id: AtomicU64,
     pub(crate) shutdown: AtomicBool,
 }
 
 impl ServerShared {
-    /// Wakes the event loop out of its poll wait (no-op in threaded mode).
+    /// Wakes the event loop out of its poll wait.
     pub(crate) fn wake_io(&self) {
-        if let Some(poller) = self.io_waker.lock().as_ref() {
-            let _ = poller.notify();
-        }
+        let _ = self.poller.notify();
     }
 
     /// Queues a completion for the event loop, waking it on the
@@ -713,7 +562,6 @@ fn worker_loop(shared: Arc<ServerShared>) {
             let mut queue = shared.queue.lock();
             loop {
                 if let Some(job) = queue.pop() {
-                    shared.queue_space_cv.notify_one();
                     if queue.depth() + 1 >= capacity {
                         // The queue just dropped below capacity: paused
                         // event-loop connections may now have room.
@@ -748,148 +596,19 @@ fn worker_loop(shared: Arc<ServerShared>) {
             let filter = shared.filter.lock().clone();
             filter.is_none_or(|f| f.deliver(job.request_id, &response))
         };
-        match job.responder {
-            Responder::Thread(conn) => {
-                if !deliver {
-                    // The chaos hook ate the ack: the work (if any) is done
-                    // and durable, the client never hears about it, and the
-                    // connection resets — exactly the crash-after-commit
-                    // interleaving.
-                    shared.stats.record_dropped_ack();
-                    conn.close();
-                    continue;
-                }
-                let payload = encode_response(job.request_id, &response);
-                if conn.send(&payload) {
-                    conn.stats.responses.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Responder::Event(handle) => {
-                let action = if deliver {
-                    CompletionAction::Respond(encode_response(job.request_id, &response).to_vec())
-                } else {
-                    shared.stats.record_dropped_ack();
-                    CompletionAction::Reset
-                };
-                shared.push_completion(Completion { handle, action });
-            }
-        }
-    }
-}
-
-fn reader_loop(shared: &Arc<ServerShared>, conn: Arc<Connection>, mut stream: TcpStream) {
-    while let Ok(Some(payload)) = read_frame(&mut stream) {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        match decode_request(&payload) {
-            Ok((request_id, request)) => {
-                conn.stats.requests.fetch_add(1, Ordering::Relaxed);
-                let mut queue = shared.queue.lock();
-                let admission = shared.config.admission_limit;
-                if admission > 0
-                    && queue.depth() >= admission
-                    && !matches!(request, WireRequest::Commit { .. })
-                {
-                    // Admission control: reject now, while the client can
-                    // still usefully back off, instead of parking the
-                    // request behind a queue that is already too deep.
-                    // Commits are exempt — the server already executed this
-                    // transaction's reads, and refusing the commit would
-                    // convert that work into waste; overload is shed at the
-                    // pipeline entry (the reads) instead, and commits stay
-                    // bounded by `queue_capacity` backpressure below.
-                    drop(queue);
-                    shared.stats.record_overload_rejection();
-                    let payload = encode_response(
-                        request_id,
-                        &WireResponse::Error(AftError::Overloaded(
-                            "worker queue is full; retry with backoff".to_owned(),
-                        )),
-                    );
-                    if !conn.send(&payload) {
-                        return;
-                    }
-                    continue;
-                }
-                // Backpressure: stop pulling from this socket while the
-                // pool is saturated, so pipelined floods are bounded by
-                // queue_capacity frames plus kernel socket buffers.
-                while queue.depth() >= shared.config.queue_capacity.max(1) {
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        return conn.close();
-                    }
-                    let _ = shared
-                        .queue_space_cv
-                        .wait_for(&mut queue, Duration::from_millis(50));
-                }
-                queue.push(Job {
-                    responder: Responder::Thread(Arc::clone(&conn)),
-                    request_id,
-                    request,
-                    source: conn.id,
-                    enqueued: Instant::now(),
-                });
-                shared.queue_cv.notify_one();
-            }
-            Err(e) => {
-                // A peer speaking garbage gets one error frame and the door:
-                // framing is already lost, so the connection cannot recover.
-                shared.stats.record_error();
-                let payload = encode_response(0, &WireResponse::Error(e));
-                let _ = conn.send(&payload);
-                break;
-            }
-        }
-    }
-    conn.close();
-}
-
-fn accept_loop(shared: Arc<ServerShared>, listener: TcpListener) {
-    for incoming in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = incoming else { continue };
-        let _ = stream.set_nodelay(true);
-        let (writer, control) = match (stream.try_clone(), stream.try_clone()) {
-            (Ok(writer), Ok(control)) => (writer, control),
-            _ => continue,
+        let action = if deliver {
+            CompletionAction::Respond(encode_response(job.request_id, &response))
+        } else {
+            // The chaos hook ate the ack: the work (if any) is done and
+            // durable, the client never hears about it, and the connection
+            // resets — exactly the crash-after-commit interleaving.
+            shared.stats.record_dropped_ack();
+            CompletionAction::Reset
         };
-        let conn = Arc::new(Connection {
-            id: shared.next_conn_id.fetch_add(1, Ordering::Relaxed),
-            writer: Mutex::new(writer),
-            control,
-            open: AtomicBool::new(true),
-            stats: ConnStats::default(),
-            service_stats: Arc::clone(&shared.stats),
+        shared.push_completion(Completion {
+            handle: job.handle,
+            action,
         });
-        shared.stats.record_accept();
-        {
-            let mut conns = shared.conns.lock();
-            conns.retain(|c| c.open.load(Ordering::Acquire));
-            conns.push(Arc::clone(&conn));
-        }
-        let reader_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("aft-net-rd".to_owned())
-            .spawn(move || reader_loop(&reader_shared, conn, stream))
-            .expect("spawn reader thread");
-        {
-            // Join readers whose connections already ended, so handle
-            // bookkeeping stays proportional to *live* connections under
-            // churn rather than growing per connection ever accepted.
-            let mut handles = shared.reader_handles.lock();
-            let mut i = 0;
-            while i < handles.len() {
-                if handles[i].is_finished() {
-                    let _ = handles.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-            handles.push(handle);
-        }
     }
 }
 
@@ -898,12 +617,10 @@ fn accept_loop(shared: Arc<ServerShared>, listener: TcpListener) {
 pub struct AftServer {
     shared: Arc<ServerShared>,
     addr: SocketAddr,
-    mode: ThreadModel,
-    accept: Mutex<Option<JoinHandle<()>>>,
     io: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    event_stats: Option<Arc<EventStats>>,
-    event_pool: Option<Arc<BufferPool>>,
+    event_stats: Arc<EventStats>,
+    event_pool: Arc<BufferPool>,
 }
 
 impl AftServer {
@@ -925,46 +642,23 @@ impl AftServer {
             stats: Arc::new(ServiceStats::default()),
             queue: Mutex::new(JobQueue::new(config.fair_queuing)),
             queue_cv: Condvar::new(),
-            queue_space_cv: Condvar::new(),
-            ledger: Mutex::new(CommitLedger::new(config.dedup_capacity)),
+            ledger: Mutex::new(CommitLedger::new(DEDUP_CAPACITY)),
             ledger_cv: Condvar::new(),
-            affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
+            affinity: Mutex::new(AffinityMap::new(AFFINITY_CAPACITY)),
             filter: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
-            reader_handles: Mutex::new(Vec::new()),
             completions: Mutex::new(VecDeque::new()),
-            io_waker: Mutex::new(None),
+            poller: Arc::new(
+                Poller::new()
+                    .map_err(|e| AftError::Unavailable(format!("event loop: poller: {e}")))?,
+            ),
             next_conn_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             config,
         });
-        let (mode, accept, io, event_stats, event_pool) = if shared.config.event_driven {
-            let event_loop = EventLoop::new(Arc::clone(&shared), listener)?;
-            *shared.io_waker.lock() = Some(event_loop.poller());
-            let stats = event_loop.stats();
-            let pool = event_loop.pool();
-            let io = event_loop.spawn();
-            (
-                ThreadModel::EventDriven,
-                None,
-                Some(io),
-                Some(stats),
-                Some(pool),
-            )
-        } else {
-            let accept_shared = Arc::clone(&shared);
-            let accept = std::thread::Builder::new()
-                .name("aft-net-accept".to_owned())
-                .spawn(move || accept_loop(accept_shared, listener))
-                .expect("spawn accept thread");
-            (
-                ThreadModel::ThreadPerConnection,
-                Some(accept),
-                None,
-                None,
-                None,
-            )
-        };
+        let event_loop = EventLoop::new(Arc::clone(&shared), listener)?;
+        let event_stats = event_loop.stats();
+        let event_pool = event_loop.pool();
+        let io = event_loop.spawn();
         let mut workers = Vec::new();
         for i in 0..shared.config.workers.max(1) {
             let worker_shared = Arc::clone(&shared);
@@ -978,9 +672,7 @@ impl AftServer {
         Ok(AftServer {
             shared,
             addr,
-            mode,
-            accept: Mutex::new(accept),
-            io: Mutex::new(io),
+            io: Mutex::new(Some(io)),
             workers: Mutex::new(workers),
             event_stats,
             event_pool,
@@ -990,11 +682,6 @@ impl AftServer {
     /// The bound address (with the real port when `:0` was requested).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The thread model actually running.
-    pub fn thread_model(&self) -> ThreadModel {
-        self.mode
     }
 
     /// The cluster being served.
@@ -1014,13 +701,10 @@ impl AftServer {
         &self.shared.stats
     }
 
-    /// The event loop's I/O counters (`None` in thread-per-connection
-    /// mode).
+    /// The event loop's I/O counters. Always `Some`; the `Option` keeps
+    /// the signature callers already match on.
     pub fn event_snapshot(&self) -> Option<EventSnapshot> {
-        match (&self.event_stats, &self.event_pool) {
-            (Some(stats), Some(pool)) => Some(stats.snapshot(pool)),
-            _ => None,
-        }
+        Some(self.event_stats.snapshot(&self.event_pool))
     }
 
     /// Installs the response filter (chaos/test hook); replaces any prior
@@ -1040,38 +724,15 @@ impl AftServer {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        match self.mode {
-            ThreadModel::EventDriven => {
-                // The poller wake makes the loop observe the flag; it tears
-                // down every connection and the listener before exiting.
-                self.shared.wake_io();
-                if let Some(handle) = self.io.lock().take() {
-                    let _ = handle.join();
-                }
-            }
-            ThreadModel::ThreadPerConnection => {
-                // Join the accept thread FIRST (woken by a throwaway
-                // connection): once it exits, no new connection can
-                // register, so the drains below cannot race a late accept
-                // into a leaked reader thread.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(handle) = self.accept.lock().take() {
-                    let _ = handle.join();
-                }
-                // Close every connection (unblocks reader reads and worker
-                // writes) before joining the readers.
-                for conn in self.shared.conns.lock().drain(..) {
-                    conn.close();
-                }
-                for handle in self.shared.reader_handles.lock().drain(..) {
-                    let _ = handle.join();
-                }
-            }
+        // The poller wake makes the loop observe the flag; it tears down
+        // every connection and the listener before exiting.
+        self.shared.wake_io();
+        if let Some(handle) = self.io.lock().take() {
+            let _ = handle.join();
         }
         // Wake anything parked on the queue or the commit ledger, then join
         // the workers.
         self.shared.queue_cv.notify_all();
-        self.shared.queue_space_cv.notify_all();
         self.shared.ledger_cv.notify_all();
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
@@ -1089,7 +750,6 @@ impl std::fmt::Debug for AftServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AftServer")
             .field("addr", &self.addr)
-            .field("mode", &self.mode)
             .field("workers", &self.shared.config.workers)
             .finish_non_exhaustive()
     }
@@ -1098,22 +758,22 @@ impl std::fmt::Debug for AftServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_frame, write_frame};
+    use crate::stats::ConnStats;
     use aft_cluster::ClusterConfig;
     use aft_storage::InMemoryStore;
     use aft_types::clock::TickingClock;
+    use std::net::TcpStream;
+    use std::sync::atomic::AtomicUsize;
 
-    fn served_cluster_with(nodes: usize, config: ServerConfig) -> AftServer {
+    fn served_cluster(nodes: usize) -> AftServer {
         let cluster = Cluster::with_clock(
             ClusterConfig::test(nodes),
             InMemoryStore::shared(),
             TickingClock::shared(1, 1),
         )
         .unwrap();
-        AftServer::serve(cluster, "127.0.0.1:0", config).unwrap()
-    }
-
-    fn served_cluster(nodes: usize) -> AftServer {
-        served_cluster_with(nodes, ServerConfig::default())
+        AftServer::serve(cluster, "127.0.0.1:0", ServerConfig::default()).unwrap()
     }
 
     #[test]
@@ -1121,15 +781,8 @@ mod tests {
         let built = AftServer::builder().build();
         let defaults = ServerConfig::default();
         assert_eq!(built.workers, defaults.workers);
-        assert_eq!(built.dedup_capacity, defaults.dedup_capacity);
-        assert_eq!(built.affinity_capacity, defaults.affinity_capacity);
         assert_eq!(built.queue_capacity, defaults.queue_capacity);
-        assert_eq!(built.event_driven, defaults.event_driven);
         assert_eq!(built.slab_capacity, defaults.slab_capacity);
-        assert_eq!(built.read_chunk, defaults.read_chunk);
-        assert_eq!(built.write_batch, defaults.write_batch);
-        assert_eq!(built.write_buffer_cap, defaults.write_buffer_cap);
-        assert_eq!(built.poller_backend, defaults.poller_backend);
         assert_eq!(built.admission_limit, defaults.admission_limit);
         assert_eq!(built.queue_deadline, defaults.queue_deadline);
         assert_eq!(built.fair_queuing, defaults.fair_queuing);
@@ -1144,20 +797,14 @@ mod tests {
         let config = AftServer::builder()
             .workers(0)
             .queue_capacity(7)
-            .event_driven(false)
             .slab_capacity(9)
-            .write_batch(0)
-            .poller_backend(PollerBackend::Poll)
             .admission_limit(5)
             .queue_deadline(Duration::from_millis(3))
             .fair_queuing(true)
             .build();
         assert_eq!(config.workers, 1, "clamped to >= 1");
         assert_eq!(config.queue_capacity, 7);
-        assert!(!config.event_driven);
         assert_eq!(config.slab_capacity, 9);
-        assert_eq!(config.write_batch, 1, "clamped to >= 1");
-        assert_eq!(config.poller_backend, PollerBackend::Poll);
         assert_eq!(config.admission_limit(), 5);
         assert_eq!(config.queue_deadline(), Duration::from_millis(3));
         assert!(config.fair_queuing());
@@ -1165,21 +812,17 @@ mod tests {
 
     #[test]
     fn fair_queue_round_robins_across_connections() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let _accepted = listener.accept().unwrap();
         let job = |source: u64, request_id: u64| Job {
-            responder: Responder::Thread(Arc::new(Connection {
+            handle: Arc::new(ConnHandle {
+                slot: 0,
+                generation: 0,
                 id: source,
-                writer: Mutex::new(stream.try_clone().unwrap()),
-                control: stream.try_clone().unwrap(),
-                open: AtomicBool::new(true),
                 stats: ConnStats::default(),
-                service_stats: Arc::new(ServiceStats::default()),
-            })),
+                open: AtomicBool::new(true),
+                inflight: AtomicUsize::new(0),
+            }),
             request_id,
             request: WireRequest::Ping,
-            source,
             enqueued: Instant::now(),
         };
 
@@ -1193,7 +836,7 @@ mod tests {
         queue.push(job(3, 300));
         assert_eq!(queue.depth(), 7);
         let order: Vec<(u64, u64)> = std::iter::from_fn(|| queue.pop())
-            .map(|j| (j.source, j.request_id))
+            .map(|j| (j.handle.id, j.request_id))
             .collect();
         assert_eq!(
             order,
@@ -1225,7 +868,6 @@ mod tests {
     #[test]
     fn serves_on_an_ephemeral_port_and_shuts_down() {
         let server = served_cluster(2);
-        assert_eq!(server.thread_model(), ThreadModel::EventDriven);
         assert_ne!(server.local_addr().port(), 0);
         server.shutdown();
         server.shutdown(); // idempotent
@@ -1248,24 +890,6 @@ mod tests {
             .event_snapshot()
             .expect("event mode exposes I/O stats");
         assert_eq!(snapshot.frames_read, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_mode_still_serves() {
-        use aft_types::wire::{decode_response, encode_request};
-        let server = served_cluster_with(
-            1,
-            AftServer::builder().event_driven(false).workers(2).build(),
-        );
-        assert_eq!(server.thread_model(), ThreadModel::ThreadPerConnection);
-        assert!(server.event_snapshot().is_none());
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame(&mut stream, &encode_request(7, &WireRequest::Ping)).unwrap();
-        let payload = read_frame(&mut stream).unwrap().unwrap();
-        let (id, response) = decode_response(&payload).unwrap();
-        assert_eq!(id, 7);
-        assert_eq!(response, WireResponse::Pong);
         server.shutdown();
     }
 

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_net::frame::{read_frame, write_frame};
-use aft_net::{AftServer, ThreadModel};
+use aft_net::AftServer;
 use aft_storage::InMemoryStore;
 use aft_types::clock::TickingClock;
 use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse};
@@ -38,7 +38,6 @@ fn served(workers: usize, slab_capacity: usize) -> (AftServer, Arc<Cluster>) {
         .slab_capacity(slab_capacity)
         .serve(Arc::clone(&cluster), "127.0.0.1:0")
         .unwrap();
-    assert_eq!(server.thread_model(), ThreadModel::EventDriven);
     (server, cluster)
 }
 
