@@ -37,7 +37,7 @@
 
 use std::time::{Duration, Instant};
 
-use aft_storage::io::{IoEngine, StorageRequest};
+use aft_storage::io::IoEngine;
 use aft_types::{AftResult, Value};
 use parking_lot::{Condvar, Mutex};
 
@@ -216,11 +216,12 @@ impl CommitBatcher {
             state.stats.largest_batch = state.stats.largest_batch.max(batch.len() as u64);
             drop(state);
 
-            let result = Self::flush(io, &batch);
+            let seqs: Vec<u64> = batch.iter().map(|entry| entry.seq).collect();
+            let result = Self::flush(io, batch);
 
             state = self.state.lock();
-            for entry in batch {
-                state.completed.insert(entry.seq, result.clone());
+            for seq in seqs {
+                state.completed.insert(seq, result.clone());
             }
             state.flushing = false;
             // Wake waiters: batch members pick up results, queued entries
@@ -235,26 +236,20 @@ impl CommitBatcher {
     /// and only then are the commit records appended. Returns the flush's
     /// charged storage latency: the data barrier's overlapped cost plus the
     /// record append's.
-    fn flush(io: &IoEngine, batch: &[Entry]) -> AftResult<Duration> {
-        let data: Vec<(String, Value)> =
-            batch.iter().flat_map(|e| e.data.iter().cloned()).collect();
+    fn flush(io: &IoEngine, batch: Vec<Entry>) -> AftResult<Duration> {
+        let mut data = Vec::with_capacity(batch.iter().map(|e| e.data.len()).sum());
+        let mut records = Vec::with_capacity(batch.len());
+        for entry in batch {
+            data.extend(entry.data);
+            records.push((entry.record_key, entry.record_value));
+        }
         let mut cost = Duration::ZERO;
         if !data.is_empty() {
             cost += io.put_all(data)?;
         }
-        let records: Vec<(String, Value)> = batch
-            .iter()
-            .map(|e| (e.record_key.clone(), e.record_value.clone()))
-            .collect();
-        // A single record keeps the cheaper single-put path; multi-record
-        // appends overlap like any other batch.
-        cost += if records.len() == 1 {
-            let (key, value) = records.into_iter().next().expect("len checked");
-            let outcome = io.execute(StorageRequest::Put(key, value));
-            outcome.result.map(|_| outcome.cost)?
-        } else {
-            io.put_all(records)?
-        };
+        // A single record takes the single-put path; multi-record appends
+        // overlap like any other batch.
+        cost += io.put_all(records)?;
         Ok(cost)
     }
 }

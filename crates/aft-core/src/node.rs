@@ -191,8 +191,10 @@ pub struct NodeConfig {
     /// coalesced into one storage flush, and how long a flush may wait for
     /// company. The default adds no latency for uncontended clients.
     pub commit_batch: BatchConfig,
-    /// Tuning of the node's pipelined storage I/O engine (worker count,
-    /// in-flight window, timer-wheel resolution). `IoConfig::sequential()`
+    /// Tuning of the node's pipelined storage I/O engine (in-flight window,
+    /// timer-wheel resolution, and the worker count, which only blocking
+    /// backends such as `SimShardedService` use; every other backend runs
+    /// its requests on the calling thread). `IoConfig::sequential()`
     /// reproduces the historical one-round-trip-at-a-time behaviour.
     pub io: IoConfig,
     /// Background checkpoint policy; disabled by default. When enabled, the

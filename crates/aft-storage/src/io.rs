@@ -9,20 +9,25 @@
 //!
 //! * [`StorageRequest`] — one storage operation as a value (get / put /
 //!   batched put / delete / batched delete / list).
-//! * [`IoEngine::submit`] — enqueue a request, get back a pollable
+//! * [`IoEngine::submit`] — issue a request, get back a pollable
 //!   [`IoTicket`]; [`IoEngine::submit_all`] returns a [`CompletionSet`]
 //!   whose `wait_all` is the barrier callers place between a transaction's
 //!   data writes and its commit-record append.
-//! * A **worker pool** executes requests concurrently. For backends whose
-//!   simulated latency is client-observed network time
-//!   ([`StorageEngine::supports_deferred_latency`]), the worker runs the
-//!   operation under [`latency::capture_deferred`]: the data-plane effect
-//!   applies immediately, the sampled delay is *not* slept, and the
-//!   completion is instead scheduled on a hashed **timer wheel** — so a
-//!   handful of workers sustain hundreds of in-flight requests, exactly like
-//!   an async client over a real network. Backends that model service-side
-//!   occupancy (e.g. [`crate::SimShardedService`]'s request lanes) are
-//!   executed blocking, and overlap is bounded by the worker count.
+//! * For backends whose simulated latency is client-observed network time
+//!   ([`StorageEngine::supports_deferred_latency`]), `submit` runs the
+//!   operation **on the submitting thread** under
+//!   [`latency::capture_deferred`]: the data-plane effect applies
+//!   immediately and the sampled delay is *not* slept. With nothing to defer
+//!   (in-memory storage, `Virtual` latency mode) the ticket is complete when
+//!   `submit` returns; otherwise the completion is scheduled on a hashed
+//!   **timer wheel**, so one thread keeps hundreds of requests in flight,
+//!   exactly like an async client over a real network, and the requests of
+//!   one batch overlap in wall time. No thread hand-off sits on this path.
+//! * A **worker pool** serves only backends that model service-side
+//!   occupancy (e.g. [`crate::SimShardedService`]'s request lanes): those
+//!   requests execute blocking on a worker, and overlap is bounded by the
+//!   worker count. An engine over a deferrable backend spawns no workers,
+//!   and its timer thread starts on the first non-zero deferral.
 //! * **Overlap accounting for the virtual clock**: every completion carries
 //!   the simulated latency it charged, and a [`CompletionSet`] charges the
 //!   batch one *wave* at a time — the **maximum** of each
@@ -47,7 +52,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -118,8 +123,12 @@ impl RetryConfig {
 /// Tuning for an [`IoEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoConfig {
-    /// Worker threads executing submitted requests. `0` disables the pool:
-    /// every request executes inline at `submit`, fully sequentially.
+    /// The engine's concurrency. `0` is the sequential configuration: every
+    /// request executes at `submit`, one at a time, and a batch charges the
+    /// sum of its members. Otherwise requests overlap; worker threads are
+    /// spawned (this many) only for blocking, service-occupancy backends,
+    /// whose overlap they bound. Deferrable backends run requests on the
+    /// submitting thread and need no workers.
     pub workers: usize,
     /// Maximum requests in flight (submitted, completion not yet fired);
     /// `submit` blocks once the limit is reached, like a bounded device
@@ -140,8 +149,8 @@ impl Default for IoConfig {
 }
 
 impl IoConfig {
-    /// The standard pipelined configuration: an 8-worker pool with a deep
-    /// in-flight window and a 100 µs wheel tick.
+    /// The standard pipelined configuration: 8 workers (for blocking
+    /// backends), a deep in-flight window and a 100 µs wheel tick.
     pub fn pipelined() -> Self {
         IoConfig {
             workers: 8,
@@ -242,7 +251,8 @@ pub struct IoOutcome {
 
 type Ready = (AftResult<StorageResponse>, Duration);
 
-/// Shared completion slot between a submitter and the executing side.
+/// Shared completion slot between a submitter and the side that fires it
+/// later (a worker or the timer wheel).
 struct Completion {
     state: Mutex<Option<Ready>>,
     cond: Condvar,
@@ -260,28 +270,58 @@ impl Completion {
         *self.state.lock() = Some((result, cost));
         self.cond.notify_all();
     }
+
+    fn wait(&self) -> Ready {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(ready) = state.take() {
+                return ready;
+            }
+            self.cond.wait(&mut state);
+        }
+    }
+}
+
+enum TicketState {
+    /// Completed at `submit`: the result travels in the ticket itself.
+    Ready(Ready),
+    /// Fired later by a worker or the timer wheel.
+    Pending(Arc<Completion>),
 }
 
 /// A pollable handle for one submitted request.
 pub struct IoTicket {
-    completion: Arc<Completion>,
+    state: TicketState,
 }
 
 impl IoTicket {
+    fn ready(result: AftResult<StorageResponse>, cost: Duration) -> Self {
+        IoTicket {
+            state: TicketState::Ready((result, cost)),
+        }
+    }
+
+    fn pending(completion: Arc<Completion>) -> Self {
+        IoTicket {
+            state: TicketState::Pending(completion),
+        }
+    }
+
     /// Returns true once the request's completion has fired.
     pub fn is_complete(&self) -> bool {
-        self.completion.state.lock().is_some()
+        match &self.state {
+            TicketState::Ready(_) => true,
+            TicketState::Pending(completion) => completion.state.lock().is_some(),
+        }
     }
 
     /// Blocks until the completion fires and returns it.
     pub fn wait(self) -> IoOutcome {
-        let mut state = self.completion.state.lock();
-        loop {
-            if let Some((result, cost)) = state.take() {
-                return IoOutcome { result, cost };
-            }
-            self.completion.cond.wait(&mut state);
-        }
+        let (result, cost) = match self.state {
+            TicketState::Ready(ready) => ready,
+            TicketState::Pending(completion) => completion.wait(),
+        };
+        IoOutcome { result, cost }
     }
 }
 
@@ -373,7 +413,9 @@ pub struct IoStatsSnapshot {
     pub completed: u64,
     /// Completions that went through the timer wheel (deferred latency).
     pub deferred: u64,
-    /// Requests executed inline by the sequential path.
+    /// Requests executed on the submitting thread rather than a worker:
+    /// every request of the sequential configuration and every request to a
+    /// deferrable backend (whose completion may still be deferred).
     pub inline: u64,
     /// Highest in-flight depth observed.
     pub peak_in_flight: u64,
@@ -421,21 +463,23 @@ struct Inner {
 }
 
 impl Inner {
-    fn execute_request(&self, request: StorageRequest) -> AftResult<StorageResponse> {
+    /// Issues one attempt of `request`. Borrowed, so a retry can re-issue
+    /// it; only a batched put, whose API takes its items by value, copies.
+    fn execute_request(&self, request: &StorageRequest) -> AftResult<StorageResponse> {
         let storage = &self.storage;
         match request {
-            StorageRequest::Get(key) => storage.get(&key).map(StorageResponse::Value),
-            StorageRequest::Put(key, value) => {
-                storage.put(&key, value).map(|()| StorageResponse::Done)
-            }
-            StorageRequest::PutBatch(items) => {
-                storage.put_batch(items).map(|()| StorageResponse::Done)
-            }
-            StorageRequest::Delete(key) => storage.delete(&key).map(|()| StorageResponse::Done),
+            StorageRequest::Get(key) => storage.get(key).map(StorageResponse::Value),
+            StorageRequest::Put(key, value) => storage
+                .put(key, value.clone())
+                .map(|()| StorageResponse::Done),
+            StorageRequest::PutBatch(items) => storage
+                .put_batch(items.clone())
+                .map(|()| StorageResponse::Done),
+            StorageRequest::Delete(key) => storage.delete(key).map(|()| StorageResponse::Done),
             StorageRequest::DeleteBatch(keys) => {
-                storage.delete_batch(&keys).map(|()| StorageResponse::Done)
+                storage.delete_batch(keys).map(|()| StorageResponse::Done)
             }
-            StorageRequest::List(prefix) => storage.list_prefix(&prefix).map(StorageResponse::Keys),
+            StorageRequest::List(prefix) => storage.list_prefix(prefix).map(StorageResponse::Keys),
         }
     }
 
@@ -451,7 +495,7 @@ impl Inner {
         let mut backoff_total = Duration::ZERO;
         let mut attempt = 1u32;
         loop {
-            let result = self.execute_request(request.clone());
+            let result = self.execute_request(&request);
             match &result {
                 Err(e) if e.is_transient_storage() && attempt < retry.max_attempts => {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -467,49 +511,43 @@ impl Inner {
         }
     }
 
+    /// Takes an in-flight slot, blocking while the window is full.
+    fn acquire_slot(&self) -> InFlightSlot<'_> {
+        let mut state = self.state.lock();
+        while state.in_flight >= self.config.max_in_flight {
+            self.space_cond.wait(&mut state);
+        }
+        state.in_flight += 1;
+        let depth = state.in_flight as u64;
+        drop(state);
+        self.stats
+            .peak_in_flight
+            .fetch_max(depth, Ordering::Relaxed);
+        InFlightSlot { inner: self }
+    }
+
+    fn release_slot(&self) {
+        let mut state = self.state.lock();
+        state.in_flight = state.in_flight.saturating_sub(1);
+        drop(state);
+        self.space_cond.notify_all();
+    }
+
     /// Fires a completion and releases its in-flight slot. The counter and
     /// the slot are updated *before* the completion fires: a thread that
     /// returns from `wait()` must observe its own request as completed.
     fn finish(&self, completion: &Completion, result: AftResult<StorageResponse>, cost: Duration) {
         self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.state.lock();
-        state.in_flight = state.in_flight.saturating_sub(1);
-        drop(state);
-        self.space_cond.notify_all();
+        self.release_slot();
         completion.fire(result, cost);
     }
 
-    /// One worker's execution of one job.
-    fn run_job(self: &Arc<Self>, job: Job) {
-        if self.deferrable {
-            let ((result, backoff), cost) =
-                capture_deferred(|| self.execute_with_retry(job.request));
-            // Retry backoff is part of the operation's simulated duration:
-            // charge it, and push the deferred completion out by it too.
-            let charged = cost.charged + backoff;
-            if cost.deferred.is_zero() {
-                self.finish(&job.completion, result, charged);
-            } else {
-                // The sampled network delay was suppressed; deliver the
-                // completion when it would really have arrived.
-                self.stats.deferred.fetch_add(1, Ordering::Relaxed);
-                self.wheel.schedule(
-                    cost.deferred + backoff,
-                    Fired {
-                        inner: Arc::clone(self),
-                        completion: job.completion,
-                        result,
-                        cost: charged,
-                    },
-                );
-            }
-        } else {
-            // Service-occupancy backends keep exact blocking semantics; the
-            // worker is busy for the whole service time.
-            let ((result, backoff), charged) =
-                measure_cost(|| self.execute_with_retry(job.request));
-            self.finish(&job.completion, result, charged + backoff);
-        }
+    /// One worker's execution of one job. Only service-occupancy backends
+    /// reach the workers, and they keep exact blocking semantics: the worker
+    /// is busy for the whole service time.
+    fn run_job(&self, job: Job) {
+        let ((result, backoff), charged) = measure_cost(|| self.execute_with_retry(job.request));
+        self.finish(&job.completion, result, charged + backoff);
     }
 
     fn worker_loop(self: Arc<Self>) {
@@ -528,6 +566,26 @@ impl Inner {
             };
             self.run_job(job);
         }
+    }
+}
+
+/// One taken in-flight slot, given back on drop — so a storage call that
+/// panics on the submitting thread unwinds without shrinking the window.
+struct InFlightSlot<'a> {
+    inner: &'a Inner,
+}
+
+impl InFlightSlot<'_> {
+    /// Passes the slot to a completion fired later by a worker or the timer
+    /// wheel; [`Inner::finish`] gives it back then.
+    fn hand_off(self) {
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for InFlightSlot<'_> {
+    fn drop(&mut self) {
+        self.inner.release_slot();
     }
 }
 
@@ -568,9 +626,10 @@ struct WheelState {
 ///
 /// Entries carry an absolute deadline tick and hash to `deadline_tick %
 /// slots`; delays longer than one revolution simply stay in their slot until
-/// the cursor's tick count reaches the deadline. The timer thread parks
-/// while the wheel is empty, so engines over `Virtual`-mode backends (which
-/// never defer) cost nothing at rest. Precision is one tick, biased early:
+/// the cursor's tick count reaches the deadline. The engine starts the timer
+/// thread on the first deferral and the thread parks while the wheel is
+/// empty, so engines over backends that never defer (in-memory, `Virtual`
+/// mode) have no timer thread at all. Precision is one tick, biased early:
 /// the deadline is rounded *down* to a tick boundary, mirroring how the
 /// blocking path treats sub-overhead sleeps as free — firing up to one tick
 /// early compensates the timed-wait overshoot of the host.
@@ -682,17 +741,20 @@ impl TimerWheel {
     }
 }
 
-/// The pipelined storage I/O engine: a submission queue, a worker pool, and
-/// a timer wheel for deferred completions. See the module docs.
+/// The pipelined storage I/O engine: an in-flight window, a timer wheel for
+/// deferred completions, and a worker pool for blocking backends. See the
+/// module docs.
 pub struct IoEngine {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    timer: Option<JoinHandle<()>>,
+    /// Started on the first deferred completion.
+    timer: OnceLock<JoinHandle<()>>,
 }
 
 impl IoEngine {
-    /// Creates an engine over `storage` and spawns its threads (none in the
-    /// sequential configuration).
+    /// Creates an engine over `storage`. Workers are spawned only for a
+    /// pipelined engine over a blocking backend; the timer thread starts
+    /// lazily, so an engine over in-memory storage runs no threads at all.
     pub fn new(storage: SharedStorage, config: IoConfig) -> Self {
         let deferrable = storage.supports_deferred_latency();
         let inner = Arc::new(Inner {
@@ -712,21 +774,20 @@ impl IoEngine {
                 ..config
             },
         });
-        let workers = (0..config.workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || inner.worker_loop())
-            })
-            .collect();
-        // The wheel only ever holds entries for deferrable backends.
-        let timer = (config.workers > 0 && deferrable).then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || inner.wheel.timer_loop())
-        });
+        let workers = if deferrable {
+            Vec::new()
+        } else {
+            (0..config.workers)
+                .map(|_| {
+                    let inner = Arc::clone(&inner);
+                    std::thread::spawn(move || inner.worker_loop())
+                })
+                .collect()
+        };
         IoEngine {
             inner,
             workers,
-            timer,
+            timer: OnceLock::new(),
         }
     }
 
@@ -740,24 +801,26 @@ impl IoEngine {
         self.inner.config
     }
 
-    /// Whether requests overlap (worker pool active) or run one at a time.
+    /// Whether requests overlap or run one at a time (the sequential
+    /// configuration, `workers == 0`).
     pub fn is_pipelined(&self) -> bool {
-        !self.workers.is_empty()
+        self.inner.config.workers > 0
     }
 
     /// How many requests can truly be in flight together: the in-flight
-    /// window for deferrable backends (workers only shepherd requests onto
-    /// the timer wheel), the worker count for blocking backends, and 1 for
-    /// the sequential configuration. Batch cost accounting uses this so the
-    /// virtual clock never undercharges a batch larger than the overlap the
-    /// engine actually provides.
+    /// window for deferrable backends (their completions wait on the timer
+    /// wheel, not on a thread), the worker count for blocking backends, and
+    /// 1 for the sequential configuration. Batch cost accounting uses this
+    /// so the virtual clock never undercharges a batch larger than the
+    /// overlap the engine actually provides.
     pub fn overlap_window(&self) -> usize {
-        if self.workers.is_empty() {
+        let config = &self.inner.config;
+        if config.workers == 0 {
             1
         } else if self.inner.deferrable {
-            self.inner.config.max_in_flight
+            config.max_in_flight
         } else {
-            self.workers.len().min(self.inner.config.max_in_flight)
+            config.workers.min(config.max_in_flight)
         }
     }
 
@@ -777,36 +840,62 @@ impl IoEngine {
 
     /// Submits one request and returns its completion ticket. Blocks while
     /// the in-flight window is full (bounded queue depth).
+    ///
+    /// A deferrable backend's request runs here, on the calling thread; its
+    /// ticket is complete on return unless the operation sampled a delay
+    /// to wait out (`Sleep` mode), which the timer wheel then delivers. A
+    /// blocking backend's request is queued for a worker.
     pub fn submit(&self, request: StorageRequest) -> IoTicket {
-        self.inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let completion = Completion::new();
-        if self.workers.is_empty() {
+        let inner = &*self.inner;
+        inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        if !self.is_pipelined() {
             // Sequential path: execute inline, charging the full round trip
             // (and any retry backoff) on the calling thread.
-            self.inner.stats.inline.fetch_add(1, Ordering::Relaxed);
-            let ((result, backoff), charged) =
-                measure_cost(|| self.inner.execute_with_retry(request));
-            self.inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-            completion.fire(result, charged + backoff);
-            return IoTicket { completion };
+            inner.stats.inline.fetch_add(1, Ordering::Relaxed);
+            let ((result, backoff), charged) = measure_cost(|| inner.execute_with_retry(request));
+            inner.stats.completed.fetch_add(1, Ordering::Relaxed);
+            return IoTicket::ready(result, charged + backoff);
         }
-        let mut state = self.inner.state.lock();
-        while state.in_flight >= self.inner.config.max_in_flight {
-            self.inner.space_cond.wait(&mut state);
+        let slot = inner.acquire_slot();
+        if !inner.deferrable {
+            let completion = Completion::new();
+            slot.hand_off();
+            inner.state.lock().queue.push_back(Job {
+                request,
+                completion: Arc::clone(&completion),
+            });
+            inner.work_cond.notify_one();
+            return IoTicket::pending(completion);
         }
-        state.in_flight += 1;
-        let depth = state.in_flight as u64;
-        state.queue.push_back(Job {
-            request,
-            completion: Arc::clone(&completion),
+        inner.stats.inline.fetch_add(1, Ordering::Relaxed);
+        let ((result, backoff), cost) = capture_deferred(|| inner.execute_with_retry(request));
+        // Retry backoff is part of the operation's simulated duration:
+        // charge it, and push a deferred completion out by it too.
+        let charged = cost.charged + backoff;
+        if cost.deferred.is_zero() {
+            inner.stats.completed.fetch_add(1, Ordering::Relaxed);
+            drop(slot);
+            return IoTicket::ready(result, charged);
+        }
+        // The sampled network delay was suppressed; deliver the completion
+        // when it would really have arrived.
+        inner.stats.deferred.fetch_add(1, Ordering::Relaxed);
+        self.timer.get_or_init(|| {
+            let inner = Arc::clone(&self.inner);
+            std::thread::spawn(move || inner.wheel.timer_loop())
         });
-        drop(state);
-        self.inner
-            .stats
-            .peak_in_flight
-            .fetch_max(depth, Ordering::Relaxed);
-        self.inner.work_cond.notify_one();
-        IoTicket { completion }
+        let completion = Completion::new();
+        slot.hand_off();
+        inner.wheel.schedule(
+            cost.deferred + backoff,
+            Fired {
+                inner: Arc::clone(&self.inner),
+                completion: Arc::clone(&completion),
+                result,
+                cost: charged,
+            },
+        );
+        IoTicket::pending(completion)
     }
 
     /// Submits a batch of requests and returns their completion set.
@@ -989,6 +1078,180 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.submitted, 3);
         assert_eq!(stats.completed, 3);
+    }
+
+    /// Forwards to a backend, records the thread each call ran on, and
+    /// panics on a write of the key `"boom"`.
+    struct Probe {
+        inner: SharedStorage,
+        threads: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Probe {
+        fn wrap(inner: SharedStorage) -> Arc<Self> {
+            Arc::new(Probe {
+                inner,
+                threads: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn record(&self) {
+            self.threads.lock().push(std::thread::current().id());
+        }
+
+        fn threads(&self) -> Vec<std::thread::ThreadId> {
+            self.threads.lock().clone()
+        }
+    }
+
+    impl StorageEngine for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+
+        fn get(&self, key: &str) -> AftResult<Option<Value>> {
+            self.record();
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: &str, value: Value) -> AftResult<()> {
+            self.record();
+            assert_ne!(key, "boom", "storage call panicked");
+            self.inner.put(key, value)
+        }
+
+        fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+            self.record();
+            self.inner.put_batch(items)
+        }
+
+        fn delete(&self, key: &str) -> AftResult<()> {
+            self.record();
+            self.inner.delete(key)
+        }
+
+        fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+            self.record();
+            self.inner.delete_batch(keys)
+        }
+
+        fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+            self.record();
+            self.inner.list_prefix(prefix)
+        }
+
+        fn supports_batch_put(&self) -> bool {
+            self.inner.supports_batch_put()
+        }
+
+        fn supports_deferred_latency(&self) -> bool {
+            self.inner.supports_deferred_latency()
+        }
+
+        fn stats(&self) -> Arc<crate::counters::StorageStats> {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn non_blocking_storage_runs_on_the_submitting_thread() {
+        let dynamo: SharedStorage = crate::dynamo::SimDynamo::with_profile(
+            ServiceProfile::dynamodb(),
+            LatencyModel::new(LatencyMode::Virtual, 1.0),
+            7,
+        );
+        for backend in [InMemoryStore::shared() as SharedStorage, dynamo] {
+            let recorder = Probe::wrap(backend);
+            let engine = IoEngine::new(
+                Arc::clone(&recorder) as SharedStorage,
+                IoConfig::pipelined(),
+            );
+            assert!(engine.is_pipelined());
+            let ticket = engine.submit(StorageRequest::Put("k".into(), val("v")));
+            assert!(ticket.is_complete(), "nothing to defer: done at submit");
+            assert!(ticket.wait().result.is_ok());
+            assert_eq!(recorder.threads(), vec![std::thread::current().id()]);
+            let stats = engine.stats();
+            assert_eq!((stats.inline, stats.deferred, stats.completed), (1, 0, 1));
+            assert!(engine.workers.is_empty(), "no worker pool is spawned");
+            assert!(engine.timer.get().is_none(), "no timer thread either");
+        }
+    }
+
+    #[test]
+    fn sleep_mode_storage_runs_on_the_submitting_thread_and_defers() {
+        let profile = ServiceProfile {
+            write: LatencyProfile::new(2_000.0, 2_000.0),
+            ..ServiceProfile::zero()
+        };
+        let storage: SharedStorage =
+            SimS3::with_profile(profile, LatencyModel::new(LatencyMode::Sleep, 1.0), 3);
+        let recorder = Probe::wrap(storage);
+        let engine = IoEngine::new(
+            Arc::clone(&recorder) as SharedStorage,
+            IoConfig::pipelined(),
+        );
+        let outcome = engine.execute(StorageRequest::Put("k".into(), val("v")));
+        assert!(outcome.result.is_ok());
+        assert_eq!(outcome.cost, Duration::from_millis(2));
+        assert_eq!(recorder.threads(), vec![std::thread::current().id()]);
+        let stats = engine.stats();
+        assert_eq!((stats.inline, stats.deferred, stats.completed), (1, 1, 1));
+        assert!(engine.timer.get().is_some(), "the first deferral starts it");
+    }
+
+    #[test]
+    fn blocking_storage_runs_on_a_worker_thread() {
+        let service: SharedStorage = crate::service::SimShardedService::with_stripes(
+            ServiceProfile::zero(),
+            LatencyModel::new(LatencyMode::Virtual, 1.0),
+            5,
+            2,
+        );
+        let recorder = Probe::wrap(service);
+        let engine = IoEngine::new(
+            Arc::clone(&recorder) as SharedStorage,
+            IoConfig::pipelined().with_workers(3),
+        );
+        assert_eq!(engine.overlap_window(), 3, "bounded by the worker count");
+        let outcome = engine
+            .submit_all((0..8).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
+            .wait_all();
+        assert!(outcome.ok().is_ok());
+        let caller = std::thread::current().id();
+        let threads = recorder.threads();
+        assert_eq!(threads.len(), 8);
+        assert!(threads.iter().all(|t| *t != caller), "workers run them");
+        let stats = engine.stats();
+        assert_eq!((stats.inline, stats.deferred, stats.completed), (0, 0, 8));
+        assert_eq!(engine.workers.len(), 3);
+    }
+
+    #[test]
+    fn a_panicking_storage_call_gives_back_its_in_flight_slot() {
+        // A window of one: a slot leaked by the panic would block the next
+        // submit forever.
+        let engine = Arc::new(IoEngine::new(
+            Probe::wrap(InMemoryStore::shared()),
+            IoConfig::pipelined().with_max_in_flight(1),
+        ));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.submit(StorageRequest::Put("boom".into(), val("v")))
+        }));
+        assert!(panicked.is_err(), "the panic reaches the submitter");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let next = Arc::clone(&engine);
+        let submitter = std::thread::spawn(move || {
+            let outcome = next.execute(StorageRequest::Put("k".into(), val("v")));
+            let _ = tx.send(outcome.result.is_ok());
+        });
+        let ok = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the next submit must not wait on a leaked slot");
+        assert!(ok);
+        submitter.join().expect("the submitter finished");
+        assert_eq!(engine.stats().completed, 1);
     }
 
     #[test]

@@ -63,21 +63,39 @@ pub fn measure_cost<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 ///
 /// In `Virtual` mode nothing sleeps anyway, so the deferred duration is zero
 /// and completions are immediate; the charge still reports the sampled cost.
+///
+/// The scope closes even if `f` panics: the I/O engine runs storage calls
+/// under it on the caller's thread, which must not keep suppressing sleeps
+/// after the panic unwinds.
 pub fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
-    let saved_charge = OP_CHARGE_NS.with(|c| c.replace(0));
-    let saved_deferred = DEFERRED_NS.with(|c| c.replace(0));
-    let was_active = DEFER_ACTIVE.with(|a| a.replace(true));
+    let scope = DeferScope {
+        saved_charge: OP_CHARGE_NS.with(|c| c.replace(0)),
+        saved_deferred: DEFERRED_NS.with(|c| c.replace(0)),
+        was_active: DEFER_ACTIVE.with(|a| a.replace(true)),
+    };
     let out = f();
-    DEFER_ACTIVE.with(|a| a.set(was_active));
-    let charged = OP_CHARGE_NS.with(|c| c.replace(saved_charge.saturating_add(c.get())));
-    let deferred = DEFERRED_NS.with(|c| c.replace(saved_deferred));
-    (
-        out,
-        DeferredCost {
-            charged: Duration::from_nanos(charged),
-            deferred: Duration::from_nanos(deferred),
-        },
-    )
+    let cost = DeferredCost {
+        charged: Duration::from_nanos(OP_CHARGE_NS.with(Cell::get)),
+        deferred: Duration::from_nanos(DEFERRED_NS.with(Cell::get)),
+    };
+    drop(scope);
+    (out, cost)
+}
+
+/// The thread-local state a [`capture_deferred`] scope replaced, put back
+/// on drop; the scope's own charge carries into the enclosing scope.
+struct DeferScope {
+    saved_charge: u64,
+    saved_deferred: u64,
+    was_active: bool,
+}
+
+impl Drop for DeferScope {
+    fn drop(&mut self) {
+        DEFER_ACTIVE.with(|a| a.set(self.was_active));
+        OP_CHARGE_NS.with(|c| c.set(self.saved_charge.saturating_add(c.get())));
+        DEFERRED_NS.with(|c| c.set(self.saved_deferred));
+    }
 }
 
 /// The cost of one operation run under [`capture_deferred`].
@@ -387,6 +405,28 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn capture_deferred_closes_its_scope_on_panic() {
+        let model = LatencyModel::new(LatencyMode::Sleep, 1.0);
+        let panicked = std::panic::catch_unwind(|| {
+            capture_deferred(|| {
+                model.finish(Duration::from_millis(5));
+                panic!("storage call failed");
+            })
+        });
+        assert!(panicked.is_err());
+        assert!(
+            !DEFER_ACTIVE.with(Cell::get),
+            "sleeps are no longer deferred"
+        );
+        assert_eq!(DEFERRED_NS.with(Cell::get), 0);
+        let ((), cost) = capture_deferred(|| {
+            model.finish(Duration::from_millis(2));
+        });
+        assert_eq!(cost.deferred, Duration::from_millis(2));
+        assert!(!DEFER_ACTIVE.with(Cell::get));
+    }
 
     #[test]
     fn zero_profile_is_free() {

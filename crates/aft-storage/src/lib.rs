@@ -23,9 +23,11 @@
 //!   so multi-client experiments measure the protocol rather than contention
 //!   on a single map lock. Per-stripe counters roll up into [`counters`].
 //! * [`io`] — the pipelined I/O layer: a submission/completion engine
-//!   ([`IoEngine`]) with a worker pool and a timer wheel, so N in-flight
-//!   requests overlap their sampled latencies instead of summing them (and
-//!   the virtual clock charges a concurrent batch the max, not the sum).
+//!   ([`IoEngine`]) that runs non-blocking requests on the submitting
+//!   thread and defers their sampled delay to a timer wheel (blocking
+//!   backends get a worker pool), so N in-flight requests overlap their
+//!   sampled latencies instead of summing them (and the virtual clock
+//!   charges a concurrent batch the max, not the sum).
 //!   [`SequentialEngine`] is the explicitly-sequential baseline wrapper.
 //! * [`chaos`] — deterministic fault injection: [`FaultyBackend`] wraps any
 //!   engine with the storage layer of a seeded, cross-layer
