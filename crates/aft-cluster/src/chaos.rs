@@ -358,6 +358,43 @@ mod tests {
     }
 
     #[test]
+    fn read_only_commits_count_towards_a_kill_and_are_refused_after_it() {
+        let cluster = test_cluster(2);
+        let controller = ChaosController::new(Arc::clone(&cluster));
+        let victim = controller
+            .arm_kill(
+                KillPlan::immediate("aft-node-0", CommitPhase::BeforeBroadcast).after_commits(2),
+            )
+            .unwrap();
+        let read_only = |node: &Arc<AftNode>| {
+            let t = node.start_transaction();
+            node.get(&t, &Key::new("absent"))?;
+            node.commit(&t)
+        };
+
+        // A writer and a read-only commit pass the phase unharmed; the
+        // second read-only commit is the third to reach it and crashes.
+        commit_on(&victim, "a", "1").unwrap();
+        read_only(&victim).unwrap();
+        assert!(!controller.kill_fired());
+        let err = read_only(&victim).unwrap_err();
+        assert!(matches!(err, AftError::Unavailable(_)));
+        assert!(controller.kill_fired());
+        assert_eq!(
+            cluster.registry().state_of("aft-node-0"),
+            Some(NodeState::Failed)
+        );
+        // The dead node keeps refusing read-only commits.
+        assert!(matches!(
+            read_only(&victim).unwrap_err(),
+            AftError::Unavailable(_)
+        ));
+        assert_eq!(victim.stats().committed(), 2);
+        // Only the writer left a commit record.
+        assert_eq!(cluster.storage().list_prefix("commit/").unwrap().len(), 1);
+    }
+
+    #[test]
     fn silent_commit_is_recovered_and_node_replaced() {
         let cluster = test_cluster(3);
         let controller = ChaosController::new(Arc::clone(&cluster));

@@ -9,6 +9,10 @@
 //! into a single storage flush — one multi-put covering every transaction's
 //! data items followed by one append covering every commit record.
 //!
+//! Only writers reach the batcher: [`AftNode::commit`](crate::AftNode::commit)
+//! acknowledges a read-only transaction without a commit record, so every
+//! member of a flush has at least one data item.
+//!
 //! Flushes run through the pipelined I/O engine
 //! ([`aft_storage::io::IoEngine`]): the batch's data items are submitted
 //! concurrently, the flush barriers on their completions, and only then are

@@ -117,24 +117,26 @@ impl DataCache {
 
     /// Inserts a payload for `storage_key`, evicting least-recently-used
     /// entries of its stripe if needed. Values larger than a stripe are
-    /// ignored.
-    pub fn insert(&self, storage_key: &str, value: Value) {
+    /// ignored. An owned `String` key is stored without another copy.
+    pub fn insert(&self, storage_key: impl Into<String>, value: Value) {
         if self.is_disabled() || value.len() > self.stripe_capacity {
             return;
         }
-        let mut inner = self.stripe(storage_key).lock();
+        let storage_key = storage_key.into();
+        let bytes = value.len();
+        let mut inner = self.stripe(&storage_key).lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.entries.insert(
-            storage_key.to_owned(),
+            storage_key,
             Entry {
-                value: value.clone(),
+                value,
                 last_used: tick,
             },
         ) {
             inner.total_bytes -= old.value.len();
         }
-        inner.total_bytes += value.len();
+        inner.total_bytes += bytes;
         // Evict until the stripe fits its share of the budget.
         while inner.total_bytes > self.stripe_capacity {
             let victim = inner
@@ -263,7 +265,7 @@ mod tests {
     fn many_inserts_respect_capacity() {
         let cache = DataCache::new(1000);
         for i in 0..200 {
-            cache.insert(&format!("k{i}"), val(17));
+            cache.insert(format!("k{i}"), val(17));
         }
         assert!(cache.bytes() <= 1000);
         assert!(cache.len() <= 1000 / 17 + 1);
@@ -285,7 +287,7 @@ mod tests {
         let cache = DataCache::with_stripes(capacity, 8);
         assert_eq!(cache.stripe_count(), 8);
         for i in 0..1000 {
-            cache.insert(&format!("data/k/{i}"), val(64 * 1024));
+            cache.insert(format!("data/k/{i}"), val(64 * 1024));
         }
         assert!(cache.bytes() <= capacity);
         assert!(!cache.is_empty());

@@ -540,7 +540,7 @@ impl AftNode {
                 match outcome.result?.into_value() {
                     Some(value) => {
                         self.stats.record_read_from_storage();
-                        self.data_cache.insert(&storage_key, value.clone());
+                        self.data_cache.insert(storage_key, value.clone());
                         value
                     }
                     None => {
@@ -639,7 +639,7 @@ impl AftNode {
             match result?.into_value() {
                 Some(value) => {
                     self.stats.record_read_from_storage();
-                    self.data_cache.insert(&storage_key, value.clone());
+                    self.data_cache.insert(storage_key, value.clone());
                     out[i] = Some(value);
                 }
                 None => {
@@ -709,29 +709,45 @@ impl AftNode {
     /// The ordering is the write-ordering protocol of §3.3: data first, then
     /// the commit record, then (and only then) local visibility. The call
     /// returns only after both are durable in storage.
+    ///
+    /// A read-only transaction (empty write set) is acknowledged without any
+    /// storage I/O: no commit record, no metadata-cache entry, nothing to
+    /// disseminate. Its record would have nothing to make visible (§3.3),
+    /// nothing for the fault manager to recover (§4.2), and Algorithm 2
+    /// counts it as superseded the moment it exists. The final id is still
+    /// stamped from the clock and an installed [`CommitProbe`] still sees
+    /// every phase, so a killed node keeps refusing read-only commits.
     pub fn commit(&self, txid: &TransactionId) -> AftResult<TransactionId> {
         self.rpc();
         let txn = self.buffer.take(txid)?;
 
         // Assign the commit timestamp from the local clock (§3.1).
         let final_id = TransactionId::new(self.clock.now(), txid.uuid);
+        let probe = self.commit_probe.lock().clone();
+
+        if txn.writes.is_empty() {
+            if let Some(probe) = probe {
+                for phase in CommitPhase::ALL {
+                    probe.before_phase(self.node_id(), &final_id, phase)?;
+                }
+            }
+            self.stats.record_committed();
+            return Ok(final_id);
+        }
 
         // 1. Persist the transaction's key versions (one storage key per
-        //    version, so concurrent committers never interfere).
-        let items = {
-            let mut txn = txn;
-            txn.id = final_id;
-            txn.storage_items()
-        };
-        let write_set: Vec<Key> = items
+        //    version, so concurrent committers never interfere). The storage
+        //    key depends on the UUID only, so spilled data already sits at
+        //    the key this rewrites. The buffered writes stay owned here for
+        //    the data-cache insert once the record is durable.
+        let writes = txn.writes;
+        let items: Vec<(String, Value)> = writes
             .iter()
-            .map(|(storage_key, _)| {
-                KeyVersion::parse_storage_key(storage_key)
-                    .map(|(key, _)| key)
-                    .expect("storage keys we just built are well-formed")
+            .map(|(key, value)| {
+                let storage_key = KeyVersion::new(key.clone(), final_id).storage_key();
+                (storage_key, value.clone())
             })
             .collect();
-        let cached_values: Vec<(String, Value)> = items.clone();
 
         // 2. Persist the data and then the commit record, possibly coalesced
         //    with concurrently arriving commits (group commit), through the
@@ -742,8 +758,7 @@ impl AftNode {
         //    durable, reporting the flush's charged storage latency.
         //    An installed commit probe instead takes the unbatched path so a
         //    chaos controller can crash this node at exact phase boundaries.
-        let record = TransactionRecord::new(final_id, write_set);
-        let probe = self.commit_probe.lock().clone();
+        let record = TransactionRecord::new(final_id, writes.keys().cloned());
         let flush_cost = match probe {
             Some(probe) => self.commit_probed(&probe, &final_id, items, &record)?,
             None => self.batcher.submit(
@@ -758,8 +773,11 @@ impl AftNode {
         // 3. Only now make the transaction visible to other requests.
         let record = Arc::new(record);
         self.metadata.insert(Arc::clone(&record));
-        for (storage_key, value) in cached_values {
-            self.data_cache.insert(&storage_key, value);
+        if !self.data_cache.is_disabled() {
+            for (key, value) in writes {
+                let storage_key = KeyVersion::new(key, final_id).storage_key();
+                self.data_cache.insert(storage_key, value);
+            }
         }
         self.recent_commits.lock().push(record);
         self.stats.record_committed();
@@ -1099,7 +1117,7 @@ impl Drop for TransactionHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_storage::{BackendConfig, BackendKind, InMemoryStore, StorageEngine};
+    use aft_storage::{BackendConfig, BackendKind, InMemoryStore, OpKind, StorageEngine};
     use aft_types::MockClock;
     use bytes::Bytes;
 
@@ -1295,6 +1313,41 @@ mod tests {
     }
 
     #[test]
+    fn spilled_then_committed_data_leaves_only_final_versions() {
+        let storage = InMemoryStore::shared();
+        let config = NodeConfig {
+            write_buffer_spill_bytes: 8,
+            ..NodeConfig::test()
+        };
+        // The clock advances between start and commit, so the start id and
+        // the final id differ in their timestamps.
+        let clock = MockClock::starting_at(10);
+        let node =
+            AftNode::with_clock(config, storage.clone() as SharedStorage, clock.shared()).unwrap();
+        let t = node.start_transaction();
+        node.put(&t, Key::new("a"), val("0123456789abcdef"))
+            .unwrap();
+        node.put(&t, Key::new("b"), val("fedcba9876543210"))
+            .unwrap();
+        node.put(&t, Key::new("a"), val("rewritten-after-spill"))
+            .unwrap();
+        clock.advance(90);
+        let id = node.commit(&t).unwrap();
+        assert_ne!(id.timestamp, t.timestamp);
+
+        let mut data = storage.list_prefix("data/").unwrap();
+        data.sort();
+        let mut expected: Vec<String> = ["a", "b"]
+            .iter()
+            .map(|k| KeyVersion::new(Key::new(*k), id).storage_key())
+            .collect();
+        expected.sort();
+        assert_eq!(data, expected, "no spilled copy outlives the commit");
+        let a = storage.get(&expected[0]).unwrap().unwrap();
+        assert_eq!(a, val("rewritten-after-spill"));
+    }
+
+    #[test]
     fn abort_cleans_up_spilled_data() {
         let storage = InMemoryStore::shared();
         let shared: SharedStorage = storage.clone();
@@ -1345,13 +1398,56 @@ mod tests {
     }
 
     #[test]
-    fn read_only_transactions_commit_with_empty_write_set() {
-        let node = test_node();
+    fn read_only_commit_is_acked_without_storage_io() {
+        let storage = InMemoryStore::shared();
+        let clock = MockClock::starting_at(1_000);
+        let node = AftNode::with_clock(
+            NodeConfig::test(),
+            storage.clone() as SharedStorage,
+            clock.shared(),
+        )
+        .unwrap();
+        let writer = node.start_transaction();
+        node.put(&writer, Key::new("k"), val("v")).unwrap();
+        node.commit(&writer).unwrap();
+        let records_before = node.metadata().len();
+        let drained = node.drain_recent_commits();
+        assert_eq!(drained.len(), 1, "the writer's record is disseminated");
+        let committed_before = node.stats().committed();
+        let calls_before: Vec<u64> = OpKind::ALL
+            .iter()
+            .map(|&op| storage.stats().calls(op))
+            .collect();
+
         let t = node.start_transaction();
+        assert_eq!(node.get(&t, &Key::new("k")).unwrap().unwrap(), val("v"));
         assert!(node.get(&t, &Key::new("missing")).unwrap().is_none());
+        clock.advance(250);
         let id = node.commit(&t).unwrap();
-        let record = node.metadata().record(&id).unwrap();
-        assert!(record.write_set.is_empty());
+
+        // The final id is stamped from the clock and keeps the UUID.
+        assert_eq!(id.timestamp, 1_250);
+        assert_eq!(id.uuid, t.uuid);
+        assert_eq!(node.stats().committed(), committed_before + 1);
+        // No storage call of any kind: the read hit the data cache and the
+        // commit wrote no record.
+        for (op, before) in OpKind::ALL.iter().zip(calls_before) {
+            assert_eq!(storage.stats().calls(*op), before, "{op:?} calls");
+        }
+        assert!(storage
+            .get(&TransactionRecord::storage_key_for(&id))
+            .unwrap()
+            .is_none());
+        // Nothing to cache, disseminate or checkpoint.
+        assert_eq!(node.metadata().len(), records_before);
+        assert!(!node.metadata().is_committed(&id));
+        assert!(node.drain_recent_commits().is_empty());
+        assert_eq!(node.in_flight(), 0);
+        // The transaction is finished: a second commit finds nothing.
+        assert!(matches!(
+            node.commit(&t),
+            Err(AftError::UnknownTransaction(_))
+        ));
     }
 
     #[test]
@@ -1431,13 +1527,11 @@ mod tests {
         assert_eq!(outcome.retained_for_readers, 1);
         assert!(node.metadata().is_committed(&committed_old));
 
-        // Once the reader commits, the old version can go.
+        // Once the reader commits, the old version can go. The read-only
+        // reader left no record of its own to collect.
         node.commit(&reader).unwrap();
         let outcome = node.run_local_gc(&LocalGcConfig::default());
-        assert_eq!(
-            outcome.deleted, 2,
-            "old k version and the reader's empty txn"
-        );
+        assert_eq!(outcome.deleted, 1, "only the old k version");
     }
 
     #[test]
@@ -1648,6 +1742,40 @@ mod tests {
         node.put(&t3, Key::new("k2"), val("v2")).unwrap();
         node.commit(&t3).unwrap();
         assert_eq!(probe.0.lock().len(), 3, "no phases after clearing");
+    }
+
+    #[test]
+    fn read_only_commit_still_passes_every_probe_phase() {
+        let storage = InMemoryStore::shared();
+        let node = AftNode::with_clock(
+            NodeConfig::test(),
+            storage.clone() as SharedStorage,
+            MockClock::starting_at(1).shared(),
+        )
+        .unwrap();
+        // The bootstrap scan's calls are the baseline.
+        let calls = storage.stats().total_calls();
+        let probe = Arc::new(Observe(Mutex::new(Vec::new())));
+        node.install_commit_probe(Arc::clone(&probe) as Arc<dyn CommitProbe>);
+        let t = node.start_transaction();
+        assert!(node.get(&t, &Key::new("missing")).unwrap().is_none());
+        node.commit(&t).unwrap();
+        assert_eq!(probe.0.lock().as_slice(), &CommitPhase::ALL);
+        assert_eq!(
+            storage.stats().total_calls(),
+            calls,
+            "no I/O between phases"
+        );
+
+        // A crash at any phase refuses the read-only commit.
+        for phase in CommitPhase::ALL {
+            node.install_commit_probe(CrashAt::new(phase));
+            let t = node.start_transaction();
+            let err = node.commit(&t).unwrap_err();
+            assert!(matches!(err, AftError::Unavailable(_)), "{phase:?}");
+        }
+        assert_eq!(node.stats().committed(), 1);
+        assert_eq!(storage.stats().total_calls(), calls);
     }
 
     #[test]

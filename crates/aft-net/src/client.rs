@@ -132,10 +132,11 @@ impl ClientBuilder {
         self
     }
 
-    /// When `true`, every commit acknowledgement's final id is appended to
-    /// an unbounded in-memory log ([`AftClient::acked_commits`]) so chaos
-    /// verifiers can compare acks against the durable commit set. Off by
-    /// default: a long-lived production client must not grow per commit.
+    /// When `true`, the final id of every acknowledged commit that wrote
+    /// something is appended to an unbounded in-memory log
+    /// ([`AftClient::acked_commits`]) so chaos verifiers can compare acks
+    /// against the durable commit set. Off by default: a long-lived
+    /// production client must not grow per commit.
     pub fn record_acks(mut self, record_acks: bool) -> Self {
         self.config.record_acks = record_acks;
         self
@@ -369,10 +370,12 @@ impl AftClient {
         self.chaos.as_ref().map(|c| c.stats())
     }
 
-    /// Every commit acknowledgement this client received (final ids),
-    /// recorded only when [`ClientConfig::record_acks`] is set. The service
-    /// benchmarks verify each against the durable commit set: an acked
-    /// commit with no durable record is a lost write.
+    /// Every acknowledgement of a commit with a non-empty write set this
+    /// client received (final ids), recorded only when
+    /// [`ClientConfig::record_acks`] is set. The service benchmarks verify
+    /// each against the durable commit set: an acked commit with no durable
+    /// record is a lost write. Read-only commits are left out because the
+    /// server acknowledges them without writing a record.
     pub fn acked_commits(&self) -> Vec<TransactionId> {
         self.acked.lock().clone()
     }
@@ -654,6 +657,7 @@ impl AftApi for AftClient {
             .lock()
             .remove(&txid.uuid)
             .ok_or(AftError::UnknownTransaction(*txid))?;
+        let wrote = !txn.writes.is_empty();
         let request = WireRequest::Commit {
             txid: *txid,
             writes: txn.writes,
@@ -669,7 +673,7 @@ impl AftApi for AftClient {
                 if duplicate {
                     self.stats.duplicate_acks.fetch_add(1, Ordering::Relaxed);
                 }
-                if self.config.record_acks {
+                if self.config.record_acks && wrote {
                     self.acked.lock().push(final_id);
                 }
                 Ok(CommitOutcome {

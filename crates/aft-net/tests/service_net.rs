@@ -234,6 +234,98 @@ fn duplicate_commit_after_lost_ack_is_acked_idempotently() {
     server.shutdown();
 }
 
+/// Captures the final id of the first non-duplicate commit ack and drops
+/// that ack, like [`DropFirstCommitAck`].
+struct CaptureFirstCommitAck {
+    dropped: std::sync::Mutex<Option<TransactionId>>,
+}
+
+impl ResponseFilter for CaptureFirstCommitAck {
+    fn deliver(&self, _request_id: u64, response: &WireResponse) -> bool {
+        if let WireResponse::Committed {
+            txid,
+            duplicate: false,
+            ..
+        } = response
+        {
+            let mut dropped = self.dropped.lock().unwrap();
+            if dropped.is_none() {
+                *dropped = Some(*txid);
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// A read-only commit writes no record, but the dedup ledger still answers
+/// its retransmission with the original final id.
+#[test]
+fn duplicate_read_only_commit_is_acked_with_the_original_id() {
+    let (server, cluster) = served_cluster(2, 4);
+    let client = client_for(
+        &server,
+        AftClient::builder()
+            .retry(RetryConfig {
+                max_attempts: 5,
+                base_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(5),
+            })
+            .record_acks(true)
+            .build(),
+    );
+    let writer = client.begin().unwrap();
+    client
+        .put(&writer, Key::new("seen"), Value::from_static(b"x"))
+        .unwrap();
+    let written = client.commit(&writer, &[]).unwrap();
+    cluster.run_maintenance_round().unwrap();
+    let records_before = cluster
+        .storage()
+        .list_prefix(&TransactionRecord::storage_prefix())
+        .unwrap()
+        .len();
+
+    let filter = Arc::new(CaptureFirstCommitAck {
+        dropped: std::sync::Mutex::new(None),
+    });
+    server.install_response_filter(Arc::clone(&filter) as Arc<dyn ResponseFilter>);
+    let reader = client.begin().unwrap();
+    let (value, version) = client
+        .get_versioned(&reader, &Key::new("seen"))
+        .unwrap()
+        .unwrap();
+    assert_eq!(value, Value::from_static(b"x"));
+    assert_eq!(version, Some(written.final_id));
+    let reads = [(Key::new("seen"), written.final_id)];
+    let outcome = client.commit(&reader, &reads).unwrap();
+
+    let original = filter.dropped.lock().unwrap().expect("first ack dropped");
+    assert!(
+        outcome.duplicate,
+        "the resent commit is served from the ledger"
+    );
+    assert_eq!(outcome.final_id, original, "same final id as the lost ack");
+    assert_eq!(outcome.final_id.uuid, reader.uuid);
+    assert!(outcome.atomic);
+    let stats = server.stats();
+    assert_eq!(stats.commits, 2, "the writer and one read-only apply");
+    assert_eq!(stats.duplicate_commits, 1);
+    assert_eq!(cluster.total_committed(), 2);
+    // No commit record for the read-only transaction, and the client's ack
+    // log holds only the writer, whose record is durable.
+    let records = cluster
+        .storage()
+        .list_prefix(&TransactionRecord::storage_prefix())
+        .unwrap();
+    assert_eq!(records.len(), records_before);
+    assert!(!records
+        .iter()
+        .any(|k| k.contains(&format!("{}", reader.uuid))));
+    assert_eq!(client.acked_commits(), vec![written.final_id]);
+    server.shutdown();
+}
+
 #[test]
 fn connection_resets_never_lose_acknowledged_commits() {
     let (server, cluster) = served_cluster(3, 4);

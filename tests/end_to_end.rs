@@ -79,7 +79,8 @@ fn clustered_aft_keeps_read_atomicity_with_background_maintenance() {
     assert_eq!(result.completed + result.failed, 300);
     assert_eq!(result.anomalies.ryw_transactions, 0);
     assert_eq!(result.anomalies.fr_transactions, 0);
-    // Every committed transaction has a durable commit record. GC deletes
+    // Every committed transaction (each one writes) has a durable commit
+    // record; a read-only commit would have none. GC deletes
     // metadata per node (so the sum across nodes can exceed the number of
     // committed transactions once the clock-paced maintenance loop free-runs
     // on a virtual clock); saturate rather than underflow.

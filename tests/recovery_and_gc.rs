@@ -8,7 +8,8 @@ use aft::core::{AftNode, LocalGcConfig, NodeConfig};
 use aft::storage::io::{IoConfig, IoEngine};
 use aft::storage::{BackendConfig, BackendKind, InMemoryStore, SharedStorage};
 use aft::types::clock::TickingClock;
-use aft::types::{AftError, Key};
+use aft::types::codec::encode_commit_record;
+use aft::types::{AftError, Key, TransactionId, TransactionRecord, Uuid};
 use bytes::Bytes;
 
 fn node_over(storage: SharedStorage, id: &str) -> Arc<AftNode> {
@@ -182,6 +183,80 @@ fn global_gc_reclaims_superseded_versions_without_losing_the_latest() {
             let expected = format!("v{}", 45 + k); // last writer of hot-k
             assert_eq!(value, Bytes::from(expected));
         }
+        node.commit(&t).unwrap();
+    }
+}
+
+/// Read-only commits no longer write a commit record, but a store written
+/// before that change holds empty-write-set records. A node still
+/// bootstraps from such a store, and GC removes the old records.
+#[test]
+fn legacy_read_only_commit_records_bootstrap_and_are_collected() {
+    let storage: SharedStorage = InMemoryStore::shared();
+    let clock = TickingClock::shared(1_000, 1);
+    {
+        let writer = node_over(storage.clone(), "writer");
+        let t = writer.start_transaction();
+        writer
+            .put(&t, Key::new("kept"), Bytes::from_static(b"v"))
+            .unwrap();
+        writer.commit(&t).unwrap();
+    }
+    let legacy: Vec<TransactionRecord> = (0..5u128)
+        .map(|i| {
+            TransactionRecord::new(
+                TransactionId::new(10 + i as u64, Uuid::from_u128(i + 1)),
+                [],
+            )
+        })
+        .collect();
+    for record in &legacy {
+        storage
+            .put(&record.storage_key(), encode_commit_record(record))
+            .unwrap();
+    }
+    assert_eq!(storage.list_prefix("commit/").unwrap().len(), 6);
+
+    let nodes: Vec<Arc<AftNode>> = (0..2)
+        .map(|i| {
+            AftNode::with_clock(
+                NodeConfig::default().with_node_id(format!("n{i}")),
+                storage.clone(),
+                clock.clone(),
+            )
+            .unwrap()
+        })
+        .collect();
+    for node in &nodes {
+        assert!(legacy.iter().all(|r| node.metadata().is_committed(&r.id)));
+        let t = node.start_transaction();
+        assert_eq!(
+            node.get(&t, &Key::new("kept")).unwrap().unwrap(),
+            Bytes::from_static(b"v")
+        );
+        node.commit(&t).unwrap();
+    }
+
+    let fm = FaultManager::new();
+    let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
+    fm.scan_commit_set(&io, &nodes).unwrap();
+    for node in &nodes {
+        node.run_local_gc(&LocalGcConfig::aggressive());
+    }
+    let outcome = GlobalGc::default().run_round(&fm, &nodes, &io).unwrap();
+    assert_eq!(outcome.deleted, legacy.len(), "{outcome:?}");
+    let remaining = storage.list_prefix("commit/").unwrap();
+    assert_eq!(
+        remaining.len(),
+        1,
+        "only the writer's record: {remaining:?}"
+    );
+    for node in &nodes {
+        let t = node.start_transaction();
+        assert_eq!(
+            node.get(&t, &Key::new("kept")).unwrap().unwrap(),
+            Bytes::from_static(b"v")
+        );
         node.commit(&t).unwrap();
     }
 }
